@@ -92,7 +92,7 @@ from .monotone import (
     schur_difference_identity,
     spectral_path_check,
 )
-from .rng import HAS_NUMBA, Xoshiro256pp, derive_seed, splitmix64_stream, using_numba
+from .rng import Xoshiro256pp, derive_seed, splitmix64_stream
 from .saddle import (
     AffineSet,
     MinimizationResult,
@@ -184,11 +184,9 @@ __all__ = [
     "rank_path_sampled",
     "schur_difference_identity",
     "spectral_path_check",
-    "HAS_NUMBA",
     "Xoshiro256pp",
     "derive_seed",
     "splitmix64_stream",
-    "using_numba",
     "AffineSet",
     "MinimizationResult",
     "SaddleSolution",

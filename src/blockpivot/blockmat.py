@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, PreconditionError
 from .linalg import adjoint, as_matrix, is_hermitian, max_abs
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -109,3 +109,15 @@ class BlockMatrix:
 
     def __hash__(self):
         return hash((self.n1, self.n2, self.data.tobytes()))
+
+
+def check_hermitian_block_pair(
+    a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL
+) -> None:
+    """Require two Hermitian matrices with the same partition."""
+    if (a.n1, a.n2) != (b.n1, b.n2):
+        raise InvalidInputError(
+            f"partition mismatch: ({a.n1}, {a.n2}) vs ({b.n1}, {b.n2})"
+        )
+    if not a.is_hermitian(tol) or not b.is_hermitian(tol):
+        raise PreconditionError("both matrices must be Hermitian")

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import BlockMatrix
+from .blockmat import BlockMatrix, check_hermitian_block_pair
 from .errors import InvalidInputError, PreconditionError
 from .linalg import (
-    as_matrix,
+    check_hermitian_pair,
+    check_square_pair,
     hermitian_part,
-    is_hermitian,
     kernel_basis,
     loewner_leq,
     pinv,
@@ -51,18 +51,18 @@ def _check_t(t: float) -> float:
     return t
 
 
-def _check_concavity_pair(a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig):
-    if (a.n1, a.n2) != (b.n1, b.n2):
-        raise InvalidInputError(
-            f"partition mismatch: ({a.n1}, {a.n2}) vs ({b.n1}, {b.n2})"
-        )
-    if not a.is_hermitian(tol) or not b.is_hermitian(tol):
-        raise PreconditionError("both matrices must be Hermitian")
-    for name, m in (("first", a), ("second", b)):
-        if not loewner_leq(np.zeros_like(m.data), m.data, tol):
+def _check_psd_equal_kernels(c, d, kc, kd, what: str, tol: ToleranceConfig) -> None:
+    """Require C and D PSD, and equal kernels of KC and KD (named ``what``)."""
+    for name, m in (("first", c), ("second", d)):
+        if not loewner_leq(np.zeros_like(m), m, tol):
             raise PreconditionError(f"the {name} matrix must be positive semidefinite")
-    if not subspace_eq(kernel_basis(a.a22, tol), kernel_basis(b.a22, tol), tol):
-        raise PreconditionError("pivot blocks must have equal kernels")
+    if not subspace_eq(kernel_basis(kc, tol), kernel_basis(kd, tol), tol):
+        raise PreconditionError(f"{what} must have equal kernels")
+
+
+def _check_concavity_pair(a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig):
+    check_hermitian_block_pair(a, b, tol)
+    _check_psd_equal_kernels(a.data, b.data, a.a22, b.a22, "pivot blocks", tol)
 
 
 def _psd_verdict(gap: np.ndarray, tol: ToleranceConfig) -> GapResult:
@@ -103,10 +103,7 @@ def bordered_embedding(c, d) -> tuple[BlockMatrix, BlockMatrix]:
     pivot block, so their pivot transforms carry the pseudoinverses of C
     and D in the (negated) pivot position.
     """
-    ca = as_matrix(c, "c")
-    da = as_matrix(d, "d")
-    if ca.shape != da.shape or ca.shape[0] != ca.shape[1]:
-        raise InvalidInputError(f"need square matrices of equal size, got {ca.shape} and {da.shape}")
+    ca, da = check_square_pair(c, d)
     m = ca.shape[0]
     dtype = np.result_type(ca, da)
     top = np.zeros((m + 1, m + 1), dtype=dtype)
@@ -124,17 +121,8 @@ def pinv_convexity_gap(c, d, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> Ga
     bordered embedding of (C, D).
     """
     t = _check_t(t)
-    ca = as_matrix(c, "c")
-    da = as_matrix(d, "d")
-    if ca.shape != da.shape or ca.shape[0] != ca.shape[1]:
-        raise InvalidInputError(f"need square matrices of equal size, got {ca.shape} and {da.shape}")
-    if not is_hermitian(ca, tol) or not is_hermitian(da, tol):
-        raise PreconditionError("both matrices must be Hermitian")
-    for name, m in (("first", ca), ("second", da)):
-        if not loewner_leq(np.zeros_like(m), m, tol):
-            raise PreconditionError(f"the {name} matrix must be positive semidefinite")
-    if not subspace_eq(kernel_basis(ca, tol), kernel_basis(da, tol), tol):
-        raise PreconditionError("the matrices must have equal kernels")
+    ca, da = check_hermitian_pair(c, d, tol)
+    _check_psd_equal_kernels(ca, da, ca, da, "the matrices", tol)
     mix = (1.0 - t) * ca + t * da
     gap = ((1.0 - t) * pinv(ca, tol) + t * pinv(da, tol)) - pinv(hermitian_part(mix), tol)
     return _psd_verdict(gap, tol)

@@ -20,6 +20,8 @@ __all__ = [
     "Inertia",
     "SubspaceBasis",
     "as_matrix",
+    "check_square_pair",
+    "check_hermitian_pair",
     "adjoint",
     "max_abs",
     "is_hermitian",
@@ -65,17 +67,27 @@ def as_vector(v, length: int | None = None, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v)
     if arr.ndim != 1:
         raise InvalidInputError(f"{name} must be 1-dimensional, got shape {arr.shape}")
-    if np.iscomplexobj(arr):
-        arr = arr.astype(np.complex128, copy=False)
-        finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
-    else:
-        arr = arr.astype(np.float64, copy=False)
-        finite = np.isfinite(arr)
-    if arr.size and not finite.all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
+    arr = as_matrix(arr[None, :], name)[0]
     if length is not None and arr.shape[0] != length:
         raise InvalidInputError(f"{name} must have length {length}, got {arr.shape[0]}")
     return arr
+
+
+def check_square_pair(c, d) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two square matrices of equal size."""
+    ca = as_matrix(c, "c")
+    da = as_matrix(d, "d")
+    if ca.shape != da.shape or ca.shape[0] != ca.shape[1]:
+        raise InvalidInputError(f"need square matrices of equal size, got {ca.shape} and {da.shape}")
+    return ca, da
+
+
+def check_hermitian_pair(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two Hermitian matrices of equal size."""
+    ca, da = check_square_pair(c, d)
+    if not is_hermitian(ca, tol) or not is_hermitian(da, tol):
+        raise PreconditionError("both matrices must be Hermitian")
+    return ca, da
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:

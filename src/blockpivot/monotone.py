@@ -20,15 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import BlockMatrix
-from .errors import InvalidInputError, PreconditionError
+from .blockmat import BlockMatrix, check_hermitian_block_pair
+from .errors import PreconditionError
 from .linalg import (
     SubspaceBasis,
     adjoint,
-    as_matrix,
+    check_hermitian_pair,
     hermitian_part,
-    inertia,
-    is_hermitian,
     kernel_basis,
     loewner_leq,
     max_abs,
@@ -36,10 +34,9 @@ from .linalg import (
     range_basis,
     rank,
     subspace_eq,
-    subspace_leq,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .transforms import jppt, schur_complement
+from .transforms import gppt, schur_complement, signature_matrix
 
 __all__ = [
     "RankPathReport",
@@ -63,16 +60,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Hermitian helpers sharing the psd_tol tie policy
-
-
-def _check_hermitian_pair(c, d, tol: ToleranceConfig):
-    ca = as_matrix(c, "c")
-    da = as_matrix(d, "d")
-    if ca.shape != da.shape or ca.shape[0] != ca.shape[1]:
-        raise InvalidInputError(f"need square matrices of equal size, got {ca.shape} and {da.shape}")
-    if not is_hermitian(ca, tol) or not is_hermitian(da, tol):
-        raise PreconditionError("both matrices must be Hermitian")
-    return ca, da
 
 
 def _herm_split(h: np.ndarray, tol: ToleranceConfig):
@@ -263,10 +250,10 @@ def albert_psd_conditions(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) ->
         raise PreconditionError("the matrix must be Hermitian")
     a22 = a.a22
     psd22 = loewner_leq(np.zeros_like(a22), a22, tol)
-    p = pinv(a22, tol)
-    resid = max_abs(a.a12 - a.a12 @ p @ a22)
+    g = gppt(a, tol)
+    resid = max_abs(a.a12 - g.a12 @ a22)
     ker_incl = resid <= tol.scaled_eq_tol(a.data)
-    s = hermitian_part(schur_complement(a, tol))
+    s = hermitian_part(g.a11)
     psd_schur = loewner_leq(np.zeros_like(s), s, tol)
     return AlbertConditions(psd22, ker_incl, psd_schur, psd22 and ker_incl and psd_schur)
 
@@ -277,14 +264,14 @@ def pinv_monotone(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> PinvMonotoneResul
     For C <= D, D^+ <= C^+ holds exactly when ker C = ker D and the
     negative eigenvalue counts agree.
     """
-    ca, da = _check_hermitian_pair(c, d, tol)
+    ca, da = check_hermitian_pair(c, d, tol)
     if not loewner_leq(ca, da, tol):
         raise PreconditionError("requires C <= D in the semidefinite order")
-    ker_c, _, _ = _herm_split(ca, tol) if ca.size else (np.zeros((0, 0)), None, None)
-    ker_d, _, _ = _herm_split(da, tol) if da.size else (np.zeros((0, 0)), None, None)
+    ker_c, _, w_c = _herm_split(ca, tol)
+    ker_d, _, w_d = _herm_split(da, tol)
     m = ca.shape[0]
     ker_equal = subspace_eq(SubspaceBasis(m, ker_c), SubspaceBasis(m, ker_d), tol)
-    inertia_equal = inertia(ca, tol).n_neg == inertia(da, tol).n_neg
+    inertia_equal = bool(np.sum(w_c < -tol.psd_tol) == np.sum(w_d < -tol.psd_tol))
     return PinvMonotoneResult(ker_equal and inertia_equal, ker_equal, inertia_equal)
 
 
@@ -295,7 +282,7 @@ def spectral_path_check(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralPat
     vanishes for some t in [0, 1] exactly when D^-1 C has an eigenvalue
     in (-inf, 0]; the verdict applies psd_tol at that boundary.
     """
-    ca, da = _check_hermitian_pair(c, d, tol)
+    ca, da = check_hermitian_pair(c, d, tol)
     m = ca.shape[0]
     if m == 0:
         return SpectralPathResult(True, True, ())
@@ -327,7 +314,7 @@ def rank_path_constant(
     ``require_order=False`` skips the C <= D precondition so the verdict
     can be used diagnostically.
     """
-    ca, da = _check_hermitian_pair(c, d, tol)
+    ca, da = check_hermitian_pair(c, d, tol)
     if require_order and not loewner_leq(ca, da, tol):
         raise PreconditionError("rank path analysis requires C <= D")
     m = ca.shape[0]
@@ -377,7 +364,7 @@ def rank_path_sampled(
     singular value are refined by golden-section search so rank drops
     between grid points are still detected.
     """
-    ca, da = _check_hermitian_pair(c, d, tol)
+    ca, da = check_hermitian_pair(c, d, tol)
     m = ca.shape[0]
     h = _segment(ca, da)
     ts = np.linspace(0.0, 1.0, points)
@@ -416,7 +403,7 @@ def det_sign_path_check(
     dip of the smallest singular value refined below psd_tol counts as a
     crossing.  Returns True when no crossing is detected.
     """
-    ca, da = _check_hermitian_pair(c, d, tol)
+    ca, da = check_hermitian_pair(c, d, tol)
     m = ca.shape[0]
     if m == 0:
         return True
@@ -450,28 +437,35 @@ def ppt_monotonicity_report(
     (hypothesis_ok=False); the consistency verdict is computed from the
     same formula either way.
     """
-    if (a.n1, a.n2) != (b.n1, b.n2):
-        raise InvalidInputError(
-            f"partition mismatch: ({a.n1}, {a.n2}) vs ({b.n1}, {b.n2})"
-        )
-    if not a.is_hermitian(tol) or not b.is_hermitian(tol):
-        raise PreconditionError("both matrices must be Hermitian")
+    check_hermitian_block_pair(a, b, tol)
     hypothesis_ok = loewner_leq(a.data, b.data, tol)
-    ppt_ordered = loewner_leq(
-        hermitian_part(jppt(a, tol).data), hermitian_part(jppt(b, tol).data), tol
-    )
-    pinv_reversed = loewner_leq(
-        hermitian_part(pinv(b.a22, tol)), hermitian_part(pinv(a.a22, tol)), tol
-    )
+    # gppt's blocks are A/A22 and A22^+, and J gppt(A) is jppt(A).
+    ga, gb = gppt(a, tol), gppt(b, tol)
+    j = signature_matrix(a.n1, a.n2)
+    ppt_ordered = loewner_leq(hermitian_part(j @ ga.data), hermitian_part(j @ gb.data), tol)
+    pinv_reversed = loewner_leq(hermitian_part(gb.a22), hermitian_part(ga.a22), tol)
     path = rank_path_constant(a.a22, b.a22, tol, require_order=False)
-    schur_ordered = loewner_leq(
-        hermitian_part(schur_complement(a, tol)), hermitian_part(schur_complement(b, tol)), tol
-    )
+    schur_ordered = loewner_leq(hermitian_part(ga.a11), hermitian_part(gb.a11), tol)
     agree = ppt_ordered == pinv_reversed == path.constant
     consistent = agree and ((not ppt_ordered) or schur_ordered)
     return MonotonicityReport(
         hypothesis_ok, ppt_ordered, pinv_reversed, path, schur_ordered, consistent
     )
+
+
+def _pivot_difference(a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig):
+    """Terms shared by the order conditions and the difference identity.
+
+    From one gppt per operand: (A22^+, B22^+, dp = A22^+ - B22^+, dp^+,
+    g = B12 B22^+ - A12 A22^+, gr = B22^+ B21 - A22^+ A21, B/B22 - A/A22).
+    gppt's (2,1) block is -A22^+ A21, hence the sign of gr's terms.
+    """
+    ga, gb = gppt(a, tol), gppt(b, tol)
+    pa, pb = ga.a22, gb.a22
+    dp = hermitian_part(pa - pb)
+    g = gb.a12 - ga.a12
+    gr = ga.a21 - gb.a21
+    return pa, pb, dp, pinv(dp, tol), g, gr, gb.a11 - ga.a11
 
 
 def ppt_order_conditions(
@@ -484,22 +478,12 @@ def ppt_order_conditions(
     reverse order, a kernel inclusion ties the pseudoinverse drop to the
     coupling drop, and a corrected Schur-complement difference is PSD.
     """
-    if (a.n1, a.n2) != (b.n1, b.n2):
-        raise InvalidInputError(
-            f"partition mismatch: ({a.n1}, {a.n2}) vs ({b.n1}, {b.n2})"
-        )
-    if not a.is_hermitian(tol) or not b.is_hermitian(tol):
-        raise PreconditionError("both matrices must be Hermitian")
-    pa = pinv(a.a22, tol)
-    pb = pinv(b.a22, tol)
-    dp = hermitian_part(pa - pb)
-    g = b.a12 @ pb - a.a12 @ pa
-    gr = pb @ b.a21 - pa @ a.a21
+    check_hermitian_block_pair(a, b, tol)
+    pa, pb, dp, dp_pinv, g, gr, schur_diff = _pivot_difference(a, b, tol)
     pinv_leq = loewner_leq(hermitian_part(pb), hermitian_part(pa), tol)
-    dp_pinv = pinv(dp, tol)
     ker_resid = max_abs(g - g @ dp_pinv @ dp)
     ker_incl = ker_resid <= tol.scaled_eq_tol(g, dp)
-    s = hermitian_part((schur_complement(b, tol) - schur_complement(a, tol)) - g @ dp_pinv @ gr)
+    s = hermitian_part(schur_diff - g @ dp_pinv @ gr)
     residual_psd = loewner_leq(np.zeros_like(s), s, tol)
     return OrderConditions(
         pinv_leq, ker_incl, residual_psd, pinv_leq and ker_incl and residual_psd
@@ -519,12 +503,7 @@ def schur_difference_identity(
     difference of Schur complements minus a correction term, in two
     algebraically equivalent forms whose residuals are reported.
     """
-    if (a.n1, a.n2) != (b.n1, b.n2):
-        raise InvalidInputError(
-            f"partition mismatch: ({a.n1}, {a.n2}) vs ({b.n1}, {b.n2})"
-        )
-    if not a.is_hermitian(tol) or not b.is_hermitian(tol):
-        raise PreconditionError("both matrices must be Hermitian")
+    check_hermitian_block_pair(a, b, tol)
     a22, b22 = a.a22, b.a22
     if not subspace_eq(kernel_basis(a22, tol), kernel_basis(b22, tol), tol):
         raise PreconditionError("pivot blocks must have equal kernels")
@@ -545,16 +524,10 @@ def schur_difference_identity(
         )
     diff = BlockMatrix(a.n1, a.n2, b.data - a.data)
     lhs = schur_complement(diff, tol)
-    pa = pinv(a22, tol)
-    pb = pinv(b22, tol)
-    dp = hermitian_part(pa - pb)
-    g = b.a12 @ pb - a.a12 @ pa
-    gr = pb @ b.a21 - pa @ a.a21
-    schur_diff = schur_complement(b, tol) - schur_complement(a, tol)
-    rhs = schur_diff - g @ pinv(dp, tol) @ gr
+    _, _, dp, dp_pinv, g, gr, schur_diff = _pivot_difference(a, b, tol)
+    rhs = schur_diff - g @ dp_pinv @ gr
     mid_alt = a22 + a22 @ d22_pinv @ a22
     rhs_alt = schur_diff - g @ mid_alt @ gr
-    dp_pinv = pinv(dp, tol)
     incl_tol = tol.scaled_eq_tol(g, gr, dp)
     inclusions_ok = (
         max_abs(g - g @ dp_pinv @ dp) <= incl_tol

@@ -11,31 +11,15 @@ across implementations:
 * integer draws take a raw draw modulo the bound;
 * matrices are filled row-major, and each complex entry consumes two
   consecutive draws: real part first, then imaginary part.
-
-Bulk filling of uniform arrays is the package's hot loop.  It is
-compiled with numba when available; setting the environment variable
-``BLOCKPIVOT_NO_NUMBA=1`` selects the pure-Python path, which produces
-bit-identical output (see benchmarks/bench_rng.py for a comparison).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import InvalidInputError
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
 __all__ = [
-    "HAS_NUMBA",
-    "using_numba",
     "splitmix64_stream",
     "derive_seed",
     "Xoshiro256pp",
@@ -105,49 +89,6 @@ def _fill_uniform_py(state: np.ndarray, out: np.ndarray, lo: float, hi: float) -
     state[3] = s3
 
 
-if HAS_NUMBA:
-
-    @njit("void(uint64[:], float64[:], float64, float64)", cache=True)
-    def _fill_uniform_nb(state, out, lo, hi):  # pragma: no cover - compiled
-        s0 = state[0]
-        s1 = state[1]
-        s2 = state[2]
-        s3 = state[3]
-        span = hi - lo
-        k23 = np.uint64(23)
-        k41 = np.uint64(41)
-        k17 = np.uint64(17)
-        k45 = np.uint64(45)
-        k19 = np.uint64(19)
-        k11 = np.uint64(11)
-        scale = 2.0**-53
-        for i in range(out.shape[0]):
-            tmp = s0 + s3
-            r = ((tmp << k23) | (tmp >> k41)) + s0
-            t = s1 << k17
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = (s3 << k45) | (s3 >> k19)
-            out[i] = lo + (np.float64(r >> k11) * scale) * span
-        state[0] = s0
-        state[1] = s1
-        state[2] = s2
-        state[3] = s3
-
-else:  # pragma: no cover - exercised only without numba
-    _fill_uniform_nb = None
-
-
-def using_numba() -> bool:
-    """Whether bulk fills run through the compiled kernel."""
-    if not HAS_NUMBA:
-        return False
-    return os.environ.get("BLOCKPIVOT_NO_NUMBA", "") in ("", "0")
-
-
 class Xoshiro256pp:
     """xoshiro256++ stream seeded via splitmix64 state expansion."""
 
@@ -193,10 +134,7 @@ class Xoshiro256pp:
         out = np.empty(count, dtype=np.float64)
         if count == 0:
             return out
-        if using_numba():
-            _fill_uniform_nb(self._state, out, float(lo), float(hi))
-        else:
-            _fill_uniform_py(self._state, out, float(lo), float(hi))
+        _fill_uniform_py(self._state, out, float(lo), float(hi))
         return out
 
     def uniform_sym(self, count: int, magnitude: float) -> np.ndarray:

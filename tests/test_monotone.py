@@ -188,6 +188,28 @@ def test_order_conditions_match_direct_ordering():
             assert ppt_order_conditions(a, b).overall == report.ppt_ordered
 
 
+def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
+    # one gppt per operand, plus one pseudoinverse of the pivot difference
+    # and the difference identity's own kernel/range certificates
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    limits = ((ppt_monotonicity_report, 2), (ppt_order_conditions, 3), (schur_difference_identity, 9))
+    rng = Xoshiro256pp(4242)
+    for fld in ("real", "complex"):
+        spec = GenSpec(1 + rng.randint(4), 1 + rng.randint(4), fld, rng.next_uint64())
+        a, b = rand_ordered_pair(spec, "constant_rank")
+        for fn, limit in limits:
+            calls.clear()
+            fn(a, b)
+            assert len(calls) <= limit, fn.__name__
+
+
 def test_schur_difference_identity_exact(pair_4x4):
     a, b = pair_4x4
     result = schur_difference_identity(a, b)

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from blockpivot import InvalidInputError
-from blockpivot.rng import (
-    HAS_NUMBA,
-    Xoshiro256pp,
-    derive_seed,
-    splitmix64_stream,
-    using_numba,
-)
+from blockpivot.rng import Xoshiro256pp, derive_seed, splitmix64_stream
 
 MASK = (1 << 64) - 1
 
@@ -119,32 +113,6 @@ def test_determinism_and_state_round_trip():
     assert np.array_equal(a.uniform(64), b.uniform(64))
     assert a.state == b.state
     assert all(isinstance(w, int) for w in a.state)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_compiled_and_pure_kernels_agree_bitwise():
-    from blockpivot.rng import _fill_uniform_nb, _fill_uniform_py
-
-    for seed in (0, 7, 2**63):
-        base = Xoshiro256pp(seed)
-        state_py = np.array(base.state, dtype=np.uint64)
-        state_nb = state_py.copy()
-        out_py = np.empty(513, dtype=np.float64)
-        out_nb = np.empty(513, dtype=np.float64)
-        _fill_uniform_py(state_py, out_py, -2.0, 9.0)
-        _fill_uniform_nb(state_nb, out_nb, -2.0, 9.0)
-        assert np.array_equal(out_py, out_nb)
-        assert np.array_equal(state_py, state_nb)
-
-
-def test_env_flag_disables_numba_dispatch(monkeypatch):
-    monkeypatch.setenv("BLOCKPIVOT_NO_NUMBA", "1")
-    assert not using_numba()
-    vals_flagged = Xoshiro256pp(77).uniform(40)
-    monkeypatch.delenv("BLOCKPIVOT_NO_NUMBA")
-    vals_default = Xoshiro256pp(77).uniform(40)
-    # the two dispatch paths produce identical streams
-    assert np.array_equal(vals_flagged, vals_default)
 
 
 def test_splitmix_stream_validation():

@@ -63,3 +63,11 @@ def test_rejects_unknown_suite():
 def test_every_suite_green_on_short_run(name):
     results = run_suite(name, 6, 2024, ToleranceConfig())
     assert results[0].passed, results[0].failures
+
+
+@pytest.mark.parametrize("name, seed", [("embedding", 76841004), ("ep-congruence", 76841011)])
+def test_residual_bounds_scale_with_the_pivot_pseudoinverse(name, seed):
+    # each run holds a trial whose large |A22^+| lifts the rounding error
+    # of an exact identity above an absolute 1e-10
+    results = run_suite(name, 200, seed, ToleranceConfig())
+    assert results[0].passed, results[0].failures

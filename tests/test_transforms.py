@@ -88,8 +88,11 @@ def test_jppt_is_signature_times_gppt():
         cplx = rng.randint(2) == 1
         fld = "complex" if cplx else "real"
         a = BlockMatrix(n1, n2, rand_matrix(n1 + n2, n1 + n2, fld, rng.next_uint64()))
-        j = signature_matrix(n1, n2)
-        assert max_abs(jppt(a).data - j @ gppt(a).data) <= 1e-14
+        g = gppt(a)
+        # the order routines read jppt, A/A22 and A22^+ off gppt's blocks
+        assert np.array_equal(jppt(a).data, signature_matrix(n1, n2) @ g.data)
+        assert np.array_equal(g.a11, schur_complement(a))
+        assert np.array_equal(g.a22, pinv(a.a22))
 
 
 def test_gppt_involution():
