@@ -1,10 +1,10 @@
 """Dense linear algebra primitives over the real or complex field.
 
-Every rank-like decision in the package flows through the same SVD
-cutoff (``rank_rel_tol * sigma_max``), and every semidefiniteness
-decision through the same eigenvalue slack (``psd_tol``), so that
-higher-level equivalence checks cannot disagree because of mismatched
-thresholds.
+Rank, kernel, range and pseudoinverse decisions here use the SVD cutoff
+(``rank_rel_tol * sigma_max``), and semidefiniteness and inertia the
+eigenvalue slack (``psd_tol``).  The two cutoffs differ, so a criterion
+built on ``pinv`` and one built on eigenvalue counts can disagree near
+zero; see ``tolerances`` for the seam pair and ROADMAP item 2 for the fix.
 """
 
 from __future__ import annotations

@@ -8,10 +8,14 @@ ordering these conditions imply.  The three are equivalent in exact
 arithmetic, so the report carries a consistency verdict.
 
 Rank decisions on Hermitian matrices here use the eigenvalue tie policy
-(|eigenvalue| <= psd_tol counts as zero), the same slack the ordering
-predicates use, so the equivalences cannot be broken by mismatched
-thresholds.  Grid-sampling oracles are provided as independent
-cross-checks of the deterministic verdicts.
+(|eigenvalue| <= psd_tol counts as zero), the slack the ordering
+predicates use.  The pseudoinverses, read off ``gppt``, use the relative
+SVD cutoff ``rank_rel_tol * sigma_max`` instead, so a pivot eigenvalue
+between the two cutoffs can make the report inconsistent: A22 = [3e-9]
+<= B22 = [1] has ppt_ordered and pinv_reversed true but a rank path
+that is not constant.  ROADMAP item 2 unifies the policy.
+Grid-sampling oracles are provided as independent cross-checks of the
+deterministic verdicts.
 """
 
 from __future__ import annotations
@@ -308,8 +312,9 @@ def rank_path_constant(
     grid point where the rank exceeds the endpoint rank.  Route (ii):
     with a common kernel, both matrices are compressed onto its
     orthogonal complement, where D is invertible and the spectral
-    no-crossing test decides; a failing segment gets a witness located
-    by minimizing the smallest compressed singular value.
+    no-crossing test decides, and a failing segment's witness is its
+    smallest crossing in closed form: t = lam/(lam-1) for the eigenvalue
+    lam <= psd_tol of D^-1 C nearest zero (real parts; clamped at 0).
 
     ``require_order=False`` skips the C <= D precondition so the verdict
     can be used diagnostically.
@@ -341,13 +346,10 @@ def rank_path_constant(
     spect = spectral_path_check(cr, dr, tol)
     if spect.no_crossing:
         return RankPathReport(True, r0, None, "spectral", (r0, r1))
-    h = _segment(cr, dr)
-    ts = np.linspace(0.0, 1.0, 101)
-    sigmas = [_sigma_min(h(float(t))) for t in ts]
-    i_min = int(np.argmin(sigmas))
-    lo = ts[max(i_min - 1, 0)]
-    hi = ts[min(i_min + 1, len(ts) - 1)]
-    witness = float(_golden_min(lambda t: _sigma_min(h(t)), float(lo), float(hi)))
+    # (1-t)C + tD = D((1-t)D^-1 C + tI) is singular at t = lam/(lam-1),
+    # which decreases in lam, so the largest crossing lam gives the first t
+    lam = max(z.real for z in spect.eigvals if z.real <= tol.psd_tol)
+    witness = max(0.0, lam / (lam - 1.0))
     return RankPathReport(False, None, witness, "spectral", (r0, r1))
 
 

@@ -66,29 +66,6 @@ def _check_seed(seed: int) -> None:
         raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
 
 
-def _fill_uniform_py(state: np.ndarray, out: np.ndarray, lo: float, hi: float) -> None:
-    s0 = int(state[0])
-    s1 = int(state[1])
-    s2 = int(state[2])
-    s3 = int(state[3])
-    span = hi - lo
-    for i in range(out.shape[0]):
-        tmp = (s0 + s3) & _MASK64
-        r = ((((tmp << 23) & _MASK64) | (tmp >> 41)) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
-        out[i] = lo + (float(r >> 11) * _SCALE53) * span
-    state[0] = s0
-    state[1] = s1
-    state[2] = s2
-    state[3] = s3
-
-
 class Xoshiro256pp:
     """xoshiro256++ stream seeded via splitmix64 state expansion."""
 
@@ -97,29 +74,31 @@ class Xoshiro256pp:
         words = splitmix64_stream(int(seed), 4)
         if all(w == 0 for w in words):
             words[0] = 1  # the all-zero state is the one fixed point
-        self._state = np.array(words, dtype=np.uint64)
+        self._state = tuple(words)
 
     @property
     def state(self) -> tuple[int, int, int, int]:
-        return tuple(int(w) for w in self._state)
+        return self._state
+
+    def _draws(self, count: int) -> list[int]:
+        """The next ``count`` raw draws; the one xoshiro256++ step."""
+        s0, s1, s2, s3 = self._state
+        out = []
+        for _ in range(count):
+            tmp = (s0 + s3) & _MASK64
+            out.append(((((tmp << 23) & _MASK64) | (tmp >> 41)) + s0) & _MASK64)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
+        self._state = (s0, s1, s2, s3)
+        return out
 
     def next_uint64(self) -> int:
-        s = self._state
-        s0, s1, s2, s3 = (int(w) for w in s)
-        tmp = (s0 + s3) & _MASK64
-        r = ((((tmp << 23) & _MASK64) | (tmp >> 41)) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
-        s[0] = s0
-        s[1] = s1
-        s[2] = s2
-        s[3] = s3
-        return r
+        return self._draws(1)[0]
 
     def randint(self, bound: int) -> int:
         """A draw in {0, ..., bound-1}: raw draw modulo the bound."""
@@ -131,11 +110,11 @@ class Xoshiro256pp:
         """``count`` uniform doubles in [lo, hi)."""
         if count < 0:
             raise InvalidInputError(f"count must be nonnegative, got {count}")
-        out = np.empty(count, dtype=np.float64)
-        if count == 0:
-            return out
-        _fill_uniform_py(self._state, out, float(lo), float(hi))
-        return out
+        lo, span = float(lo), float(hi) - float(lo)
+        return np.array(
+            [lo + (float(r >> 11) * _SCALE53) * span for r in self._draws(count)],
+            dtype=np.float64,
+        )
 
     def uniform_sym(self, count: int, magnitude: float) -> np.ndarray:
         """Uniform doubles in [-magnitude, magnitude)."""

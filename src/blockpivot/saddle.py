@@ -28,7 +28,7 @@ from .linalg import (
     pinv,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .transforms import jppt, schur_complement
+from .transforms import gppt, signature_matrix
 
 __all__ = [
     "AffineSet",
@@ -131,18 +131,20 @@ def objective(a: BlockMatrix, x1, x2, y2, tol: ToleranceConfig = DEFAULT_TOL) ->
     return 0.5 * quad.real - coupling.real
 
 
-def _check_min_preconditions(a: BlockMatrix, tol: ToleranceConfig) -> None:
+def _check_min_preconditions(a: BlockMatrix, tol: ToleranceConfig) -> BlockMatrix:
+    """gppt(A), once the minimization hypotheses are certified."""
     if not a.is_hermitian(tol):
         raise PreconditionError("the matrix must be Hermitian")
     if not loewner_leq(np.zeros_like(a.a22), a.a22, tol):
         raise PreconditionError("the pivot block must be positive semidefinite")
-    p = pinv(a.a22, tol)
-    resid = max_abs(a.a12 - a.a12 @ p @ a.a22)
+    g = gppt(a, tol)
+    resid = max_abs(a.a12 - a.a12 @ g.a22 @ a.a22)
     if resid > tol.scaled_eq_tol(a.data):
         raise PreconditionError(
             "kernel of the pivot block must lie in the kernel of the (1,2) block",
             certificate=resid,
         )
+    return g
 
 
 def _real_quadratic(m: np.ndarray, v: np.ndarray, tol: ToleranceConfig, what: str) -> float:
@@ -159,11 +161,10 @@ def schur_min(a: BlockMatrix, x1, tol: ToleranceConfig = DEFAULT_TOL) -> Minimiz
     of the pivot block.  Needs A Hermitian, PSD pivot block, and the
     kernel inclusion.
     """
-    _check_min_preconditions(a, tol)
+    g = _check_min_preconditions(a, tol)
     x1v = as_vector(x1, a.n1, "x1")
-    s = schur_complement(a, tol)
-    value = _real_quadratic(s, x1v, tol, "the Schur quadratic form")
-    particular = -pinv(a.a22, tol) @ a.a21 @ x1v
+    value = _real_quadratic(g.a11, x1v, tol, "the Schur quadratic form")
+    particular = g.a21 @ x1v
     return MinimizationResult(value, AffineSet(particular, kernel_basis(a.a22, tol)))
 
 
@@ -175,12 +176,12 @@ def ppt_min(a: BlockMatrix, x1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> Minim
     preconditions as schur_min; at y2 = 0 the value is half the
     schur_min value and the minimizer sets coincide.
     """
-    _check_min_preconditions(a, tol)
+    g = _check_min_preconditions(a, tol)
     x1v, y2v = _split_z(a, x1, y2)
     z = np.concatenate([x1v, y2v])
-    value = 0.5 * _real_quadratic(jppt(a, tol).data, z, tol, "the pivot-transform quadratic form")
-    p = pinv(a.a22, tol)
-    particular = -p @ a.a21 @ x1v + p @ y2v
+    j = signature_matrix(a.n1, a.n2)
+    value = 0.5 * _real_quadratic(j @ g.data, z, tol, "the pivot-transform quadratic form")
+    particular = g.a21 @ x1v + g.a22 @ y2v
     return MinimizationResult(value, AffineSet(particular, kernel_basis(a.a22, tol)))
 
 
@@ -195,7 +196,8 @@ def solve_saddle(a: BlockMatrix, x1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> 
     -A22^+ A21 x1 + A22^+ y2 plus ker A22.
     """
     x1v, y2v = _split_z(a, x1, y2)
-    p = pinv(a.a22, tol)
+    g = gppt(a, tol)
+    p = g.a22
     cert_tol = tol.scaled_eq_tol(a.data)
     r21 = max_abs(a.a21 - a.a22 @ p @ a.a21)
     if r21 > cert_tol:
@@ -218,11 +220,11 @@ def solve_saddle(a: BlockMatrix, x1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> 
             "y2 - A21 x1 lies outside the range of the pivot block; no solution exists",
             certificate=defect,
         )
-    y1 = schur_complement(a, tol) @ x1v + a.a12 @ (p @ y2v)
-    particular = -p @ a.a21 @ x1v + p @ y2v
+    y1 = g.a11 @ x1v + a.a12 @ (p @ y2v)
+    particular = g.a21 @ x1v + p @ y2v
     x2_set = AffineSet(particular, kernel_basis(a.a22, tol))
     z = np.concatenate([x1v, y2v])
-    packaged = jppt(a, tol).data @ z
+    packaged = (signature_matrix(a.n1, a.n2) @ g.data) @ z
     expected = np.concatenate([y1, -particular])
     packaging_residual = max_abs(packaged - expected)
     return SaddleSolution(y1, x2_set, packaging_residual)

@@ -7,10 +7,17 @@ Three knobs cover all predicates:
   as zero.
 * ``psd_tol`` -- absolute eigenvalue threshold at the semidefinite
   boundary.  Eigenvalues in ``[-psd_tol, psd_tol]`` count as zero for
-  inertia and as nonnegative for ordering tests.  One policy everywhere,
-  so equivalence checks cannot be broken by inconsistent thresholds.
+  inertia and as nonnegative for ordering tests.
 * ``eq_tol`` -- residual threshold for equality of matrices and for
   inclusion certificates, applied relative to ``1 + max|entry|``.
+
+The first two can decide the same question differently.  ``pinv`` (and
+so ``gppt``/``jppt``) keeps singular values above ``rank_rel_tol *
+sigma_max``, while the rank-path route and ``pinv_monotone`` count
+``|eigenvalue| <= psd_tol`` as zero.  For the 1x1 pivots
+``A22 = [3e-9] <= B22 = [1]`` the pseudoinverse criteria hold and the
+rank path does not, so the monotonicity report is inconsistent.  One
+scale-aware tie policy is ROADMAP item 2.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockmat import BlockMatrix
 from .errors import InclusionError, PreconditionError
-from .linalg import adjoint, imag_part, is_ep, max_abs, pinv
+from .linalg import adjoint, imag_part, max_abs, pinv
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -96,13 +96,16 @@ def hat_embedding(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMa
     return BlockMatrix.from_blocks(n, n2, top, right, bottom, a.a22)
 
 
-def _require_ep_pivot(a: BlockMatrix, tol: ToleranceConfig) -> None:
-    if not is_ep(a.a22, tol):
-        p = pinv(a.a22, tol)
-        resid = max_abs(a.a22 @ p - p @ a.a22)
+def _require_ep_pivot(a: BlockMatrix, tol: ToleranceConfig) -> BlockMatrix:
+    """gppt(A), once A22 is certified to commute with its pseudoinverse."""
+    g = gppt(a, tol)
+    p = g.a22
+    resid = max_abs(a.a22 @ p - p @ a.a22)
+    if not resid <= tol.eq_tol:  # the is_ep test, which a NaN residual fails
         raise PreconditionError(
             "the (2,2) block must commute with its pseudoinverse", certificate=resid
         )
+    return g
 
 
 @dataclass(frozen=True)
@@ -120,13 +123,12 @@ class EpCongruence:
 
 
 def ep_congruence_schur(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> EpCongruence:
-    _require_ep_pivot(a, tol)
-    p = pinv(a.a22, tol)
+    g = _require_ep_pivot(a, tol)
     n1 = a.n1
-    v = np.zeros((a.n, n1), dtype=np.result_type(a.data, p))
+    v = np.zeros((a.n, n1), dtype=np.result_type(a.data, g.data))
     v[:n1, :] = np.eye(n1)
-    v[n1:, :] = -p @ a.a21
-    s = schur_complement(a, tol)
+    v[n1:, :] = g.a21
+    s = g.a11
     schur_resid = max_abs(s - adjoint(v) @ a.data @ v)
     im_resid = max_abs(imag_part(s) - adjoint(v) @ imag_part(a.data) @ v)
     return EpCongruence(v, schur_resid, im_resid)
@@ -145,14 +147,13 @@ class ImCongruence:
 
 
 def jppt_im_congruence(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ImCongruence:
-    _require_ep_pivot(a, tol)
-    p = pinv(a.a22, tol)
+    g = _require_ep_pivot(a, tol)
     n1 = a.n1
-    w = np.zeros((a.n, a.n), dtype=np.result_type(a.data, p))
+    w = np.zeros((a.n, a.n), dtype=np.result_type(a.data, g.data))
     w[:n1, :n1] = np.eye(n1)
-    w[n1:, :n1] = -p @ a.a21
-    w[n1:, n1:] = p
-    lhs = imag_part(jppt(a, tol).data)
+    w[n1:, :n1] = g.a21
+    w[n1:, n1:] = g.a22
+    lhs = imag_part(signature_matrix(n1, a.n2) @ g.data)
     rhs = adjoint(w) @ imag_part(a.data) @ w
     return ImCongruence(w, max_abs(lhs - rhs))
 
@@ -195,7 +196,8 @@ def block_diagonalize(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Blo
     A21 - A22 A22^+ A21.  Raises InclusionError naming the failed
     inclusion otherwise.
     """
-    p = pinv(a.a22, tol)
+    g = gppt(a, tol)
+    p = g.a22
     cert_tol = tol.scaled_eq_tol(a.data)
     r12 = max_abs(a.a12 - a.a12 @ p @ a.a22)
     if r12 > cert_tol:
@@ -211,9 +213,9 @@ def block_diagonalize(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Blo
             which="ran21_in_ran22",
             certificate=r21,
         )
-    x = a.a12 @ p
+    x = g.a12.copy()
     y = p @ a.a21
-    w = schur_complement(a, tol)
+    w = g.a11.copy()
     z = a.a22.copy()
     n1, n2, n = a.n1, a.n2, a.n
     dtype = np.result_type(a.data, p)

@@ -119,3 +119,18 @@ def test_splitmix_stream_validation():
     with pytest.raises(InvalidInputError):
         splitmix64_stream(1, -1)
     assert splitmix64_stream(1, 0) == []
+
+
+def test_raw_integer_and_uniform_draws_interleave_on_one_stream():
+    rng = Xoshiro256pp(2718281828)
+    oracle = _naive_xoshiro(2718281828)
+    for k in range(90):
+        if k % 3 == 0:
+            assert rng.next_uint64() == next(oracle)
+        elif k % 3 == 1:
+            assert rng.randint(1 + k) == next(oracle) % (1 + k)
+        else:
+            count = k % 5
+            raw = [next(oracle) for _ in range(count)]
+            expected = [-1.5 + ((r >> 11) * 2.0**-53) * 4.0 for r in raw]
+            assert rng.uniform(count, -1.5, 2.5).tolist() == expected
