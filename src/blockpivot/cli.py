@@ -36,9 +36,10 @@ __all__ = ["main"]
 
 def _add_tol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rank-tol", type=float, default=1e-10,
-                        help="relative singular value cutoff (default 1e-10)")
+                        help="relative cutoff below which singular values and eigenvalues "
+                             "count as zero (default 1e-10)")
     parser.add_argument("--psd-tol", type=float, default=1e-8,
-                        help="eigenvalue tolerance for semidefiniteness (default 1e-8)")
+                        help="slack of the semidefinite order (default 1e-8)")
     parser.add_argument("--eq-tol", type=float, default=1e-8,
                         help="scaled equality tolerance (default 1e-8)")
     parser.add_argument("--human", action="store_true",

@@ -1,10 +1,12 @@
 """Dense linear algebra primitives over the real or complex field.
 
-Rank, kernel, range and pseudoinverse decisions here use the SVD cutoff
-(``rank_rel_tol * sigma_max``), and semidefiniteness and inertia the
-eigenvalue slack (``psd_tol``).  The two cutoffs differ, so a criterion
-built on ``pinv`` and one built on eigenvalue counts can disagree near
-zero; see ``tolerances`` for the seam pair and ROADMAP item 2 for the fix.
+This module decides zero for the whole package, with one test: a singular
+value or eigenvalue v of a matrix is zero when |v| <= ``rank_rel_tol *
+max|v|`` over that matrix's values.  Pseudoinverse, rank, kernel, range,
+inertia and the Hermitian eigen-split all apply it, so criteria built on
+``pinv`` and on eigenvalue counts call the same eigenvalues zero.
+``psd_tol`` is only the slack of the semidefinite order (``loewner_leq``,
+``is_psd``).
 """
 
 from __future__ import annotations
@@ -158,11 +160,19 @@ class SubspaceBasis:
         return self.vectors @ adjoint(self.vectors)
 
 
-def _svd_factor(arr: np.ndarray, tol: ToleranceConfig):
-    """Shared SVD with the package-wide rank cutoff.
+def _nonzero(v: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The zero test: mask of |v| > rank_rel_tol * max|v|, for the singular
+    values or eigenvalues v of one matrix."""
+    mag = np.abs(v)
+    return mag > tol.rank_rel_tol * mag.max(initial=0.0)
 
-    Returns (u, s, vh, r) where r is the numerical rank.  The same
-    cutoff feeds pinv, rank, kernel_basis and range_basis.
+
+def _svd_factor(arr: np.ndarray, tol: ToleranceConfig):
+    """Shared SVD with the zero test.
+
+    Returns (u, s, vh, r) where r is the numerical rank.  ``s`` is sorted
+    in decreasing order, so ``s > rank_rel_tol * s[0]`` is ``_nonzero(s)``.
+    The same cutoff feeds pinv, rank, kernel_basis and range_basis.
     """
     u, s, vh = np.linalg.svd(arr, full_matrices=True)
     if s.size == 0 or s[0] == 0.0:
@@ -187,15 +197,27 @@ def rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     return _svd_factor(arr, tol)[3]
 
 
+def _herm_split(h: np.ndarray, tol: ToleranceConfig):
+    """Eigen-split of a Hermitian matrix under the zero test.
+
+    Returns (kernel basis, support basis, nonzero eigenvalues); the
+    eigenvalues belong to the support basis columns, so their count is
+    the rank.
+    """
+    w, v = np.linalg.eigh(hermitian_part(h))
+    nz = _nonzero(w, tol)
+    return v[:, ~nz], v[:, nz], w[nz]
+
+
 def inertia(h, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
-    """Eigenvalue sign counts of a Hermitian matrix with psd_tol ties."""
+    """Eigenvalue sign counts of a Hermitian matrix; zero by the zero test."""
     arr = as_matrix(h)
     if not is_hermitian(arr, tol):
         raise PreconditionError("inertia needs a Hermitian matrix")
     w = np.linalg.eigvalsh(hermitian_part(arr))
-    n_pos = int(np.sum(w > tol.psd_tol))
-    n_neg = int(np.sum(w < -tol.psd_tol))
-    return Inertia(n_pos, n_neg, arr.shape[0] - n_pos - n_neg)
+    w = w[_nonzero(w, tol)]
+    n_pos = int(np.sum(w > 0.0))
+    return Inertia(n_pos, w.size - n_pos, arr.shape[0] - w.size)
 
 
 def kernel_basis(m, tol: ToleranceConfig = DEFAULT_TOL) -> SubspaceBasis:

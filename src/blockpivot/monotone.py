@@ -7,15 +7,15 @@ rank — by independent algorithms, together with the Schur-complement
 ordering these conditions imply.  The three are equivalent in exact
 arithmetic, so the report carries a consistency verdict.
 
-Rank decisions on Hermitian matrices here use the eigenvalue tie policy
-(|eigenvalue| <= psd_tol counts as zero), the slack the ordering
-predicates use.  The pseudoinverses, read off ``gppt``, use the relative
-SVD cutoff ``rank_rel_tol * sigma_max`` instead, so a pivot eigenvalue
-between the two cutoffs can make the report inconsistent: A22 = [3e-9]
-<= B22 = [1] has ppt_ordered and pinv_reversed true but a rank path
-that is not constant.  ROADMAP item 2 unifies the policy.
-Grid-sampling oracles are provided as independent cross-checks of the
-deterministic verdicts.
+This module decides no zero of its own: kernels, ranks, negative
+eigenvalue counts and the singularity of the pencil come from ``linalg``'s
+zero test (|eigenvalue| <= rank_rel_tol * max|eigenvalue|), the test the
+pseudoinverses read off ``gppt`` use, so the three criteria call the same
+pivot eigenvalues zero.  ``psd_tol`` is the slack of the semidefinite
+order only.  Grid-sampling oracles are provided as independent
+cross-checks of the deterministic verdicts; they keep an absolute
+``psd_tol`` dip test, so they can still flag a crossing where the pivot
+has an eigenvalue just below ``psd_tol`` (A22 = [3e-9] <= B22 = [1]).
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from .blockmat import BlockMatrix, check_hermitian_block_pair
 from .errors import PreconditionError
 from .linalg import (
     SubspaceBasis,
+    _herm_split,
+    _nonzero,
     adjoint,
     check_hermitian_pair,
     hermitian_part,
-    kernel_basis,
     loewner_leq,
     max_abs,
     pinv,
-    range_basis,
     rank,
     subspace_eq,
 )
@@ -63,21 +63,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Hermitian helpers sharing the psd_tol tie policy
-
-
-def _herm_split(h: np.ndarray, tol: ToleranceConfig):
-    """Eigen-split into (kernel basis, support basis, eigenvalues)."""
-    w, v = np.linalg.eigh(hermitian_part(h))
-    zero = np.abs(w) <= tol.psd_tol
-    return v[:, zero], v[:, ~zero], w
-
-
-def _herm_rank(h: np.ndarray, tol: ToleranceConfig) -> int:
-    if h.size == 0:
-        return 0
-    w = np.linalg.eigvalsh(hermitian_part(h))
-    return int(np.sum(np.abs(w) > tol.psd_tol))
+# Grid-oracle helpers
 
 
 def _golden_min(f, a: float, b: float, iters: int = 120) -> float:
@@ -201,10 +187,10 @@ class PinvMonotoneResult:
 class SpectralPathResult:
     """Eigenvalues of D^-1 C and the derived no-crossing verdict.
 
-    no_crossing is true when no eigenvalue (real part) lies in
-    (-inf, psd_tol]; equivalently det[(1-t)C + tD] never vanishes on
-    [0, 1].  real_spectrum flags imaginary parts within eq_tol (always
-    the case when C <= D).
+    no_crossing is true when C is nonsingular under the zero test and
+    every eigenvalue has positive real part; equivalently det[(1-t)C + tD]
+    never vanishes on [0, 1].  real_spectrum flags imaginary parts within
+    eq_tol (always the case when C <= D).
     """
 
     no_crossing: bool
@@ -275,26 +261,29 @@ def pinv_monotone(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> PinvMonotoneResul
     ker_d, _, w_d = _herm_split(da, tol)
     m = ca.shape[0]
     ker_equal = subspace_eq(SubspaceBasis(m, ker_c), SubspaceBasis(m, ker_d), tol)
-    inertia_equal = bool(np.sum(w_c < -tol.psd_tol) == np.sum(w_d < -tol.psd_tol))
+    inertia_equal = bool(np.sum(w_c < 0.0) == np.sum(w_d < 0.0))
     return PinvMonotoneResult(ker_equal and inertia_equal, ker_equal, inertia_equal)
 
 
 def spectral_path_check(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralPathResult:
     """No-crossing test for the segment from C to D via eigenvalues of D^-1 C.
 
-    Requires invertible D.  The segment determinant det[(1-t)C + tD]
-    vanishes for some t in [0, 1] exactly when D^-1 C has an eigenvalue
-    in (-inf, 0]; the verdict applies psd_tol at that boundary.
+    Requires D nonsingular under the zero test.  The segment determinant
+    det[(1-t)C + tD] vanishes for some t in [0, 1] exactly when D^-1 C has
+    an eigenvalue in (-inf, 0].  Zero is decided on C itself, by the zero
+    test on its eigenvalues; the eigenvalues of D^-1 C only need positive
+    real parts.
     """
     ca, da = check_hermitian_pair(c, d, tol)
     m = ca.shape[0]
     if m == 0:
         return SpectralPathResult(True, True, ())
-    if _herm_rank(da, tol) < m:
+    if not _nonzero(np.linalg.eigvalsh(hermitian_part(da)), tol).all():
         raise PreconditionError("D must be invertible for the spectral path test")
     eig = np.linalg.eigvals(np.linalg.solve(da, ca))
     real_spectrum = float(np.max(np.abs(eig.imag))) <= tol.eq_tol
-    no_crossing = bool(np.all(eig.real > tol.psd_tol))
+    c_nonsingular = _nonzero(np.linalg.eigvalsh(hermitian_part(ca)), tol).all()
+    no_crossing = bool(c_nonsingular and np.all(eig.real > 0.0))
     return SpectralPathResult(no_crossing, real_spectrum, tuple(eig.tolist()))
 
 
@@ -313,8 +302,9 @@ def rank_path_constant(
     with a common kernel, both matrices are compressed onto its
     orthogonal complement, where D is invertible and the spectral
     no-crossing test decides, and a failing segment's witness is its
-    smallest crossing in closed form: t = lam/(lam-1) for the eigenvalue
-    lam <= psd_tol of D^-1 C nearest zero (real parts; clamped at 0).
+    smallest crossing in closed form: t = lam/(lam-1) for the largest real
+    part lam <= 0 among the eigenvalues of D^-1 C, or t = 0 when none is
+    (then C itself is singular).
 
     ``require_order=False`` skips the C <= D precondition so the verdict
     can be used diagnostically.
@@ -337,7 +327,7 @@ def rank_path_constant(
             h = _segment(ca, da)
             witness = 0.5
             for t in np.linspace(0.0, 1.0, 101)[1:-1]:
-                if _herm_rank(h(float(t)), tol) != r0:
+                if _herm_split(h(float(t)), tol)[2].size != r0:
                     witness = float(t)
                     break
         return RankPathReport(False, None, witness, "kernel_inertia", (r0, r1))
@@ -348,7 +338,7 @@ def rank_path_constant(
         return RankPathReport(True, r0, None, "spectral", (r0, r1))
     # (1-t)C + tD = D((1-t)D^-1 C + tI) is singular at t = lam/(lam-1),
     # which decreases in lam, so the largest crossing lam gives the first t
-    lam = max(z.real for z in spect.eigvals if z.real <= tol.psd_tol)
+    lam = max((z.real for z in spect.eigvals if z.real <= 0.0), default=0.0)
     witness = max(0.0, lam / (lam - 1.0))
     return RankPathReport(False, None, witness, "spectral", (r0, r1))
 
@@ -507,9 +497,12 @@ def schur_difference_identity(
     """
     check_hermitian_block_pair(a, b, tol)
     a22, b22 = a.a22, b.a22
-    if not subspace_eq(kernel_basis(a22, tol), kernel_basis(b22, tol), tol):
+    # the pivots are Hermitian, so each support basis spans the range
+    ker_a, supp_a, _ = _herm_split(a22, tol)
+    ker_b, supp_b, _ = _herm_split(b22, tol)
+    if not subspace_eq(SubspaceBasis(a.n2, ker_a), SubspaceBasis(a.n2, ker_b), tol):
         raise PreconditionError("pivot blocks must have equal kernels")
-    if not subspace_eq(range_basis(a22, tol), range_basis(b22, tol), tol):
+    if not subspace_eq(SubspaceBasis(a.n2, supp_a), SubspaceBasis(a.n2, supp_b), tol):
         raise PreconditionError("pivot blocks must have equal ranges")
     d22 = hermitian_part(b22 - a22)
     d22_pinv = pinv(d22, tol)

@@ -1,23 +1,22 @@
 """Tolerance configuration shared by every numeric decision in the package.
 
-Three knobs cover all predicates:
+Three knobs cover all predicates, each with one meaning:
 
-* ``rank_rel_tol`` -- relative singular-value cutoff for rank and kernel
-  computations: singular values below ``rank_rel_tol * sigma_max`` count
-  as zero.
-* ``psd_tol`` -- absolute eigenvalue threshold at the semidefinite
-  boundary.  Eigenvalues in ``[-psd_tol, psd_tol]`` count as zero for
-  inertia and as nonnegative for ordering tests.
+* ``rank_rel_tol`` -- the package's only definition of zero: a singular
+  value or eigenvalue v of a matrix counts as zero when
+  ``|v| <= rank_rel_tol * max|v|`` over that matrix's values.  ``linalg``
+  decides it, for pinv, rank, kernel and range bases, inertia and every
+  rank, kernel and singularity test built on them.
+* ``psd_tol`` -- absolute slack of the semidefinite order: ``loewner_leq``
+  and ``is_psd`` accept a smallest eigenvalue of the difference down to
+  ``-psd_tol``.  The grid oracles also use it for their dip tests.
 * ``eq_tol`` -- residual threshold for equality of matrices and for
   inclusion certificates, applied relative to ``1 + max|entry|``.
 
-The first two can decide the same question differently.  ``pinv`` (and
-so ``gppt``/``jppt``) keeps singular values above ``rank_rel_tol *
-sigma_max``, while the rank-path route and ``pinv_monotone`` count
-``|eigenvalue| <= psd_tol`` as zero.  For the 1x1 pivots
-``A22 = [3e-9] <= B22 = [1]`` the pseudoinverse criteria hold and the
-rank path does not, so the monotonicity report is inconsistent.  One
-scale-aware tie policy is ROADMAP item 2.
+The ``psd_tol`` slack is not scaled with the operands, so an ordering
+verdict can change when a pair is multiplied by a tiny or huge factor,
+and the grid oracles still see a crossing on ``[3e-9] <= [1]``; a
+scale-aware slack is ROADMAP item 2.
 """
 
 from __future__ import annotations

@@ -168,6 +168,16 @@ def test_check_monotone_structured_pair(tmp_path, capsys, pair_4x4):
     assert stmts["witness_t"] is None
 
 
+def test_check_monotone_seam_pair_passes(tmp_path, capsys):
+    # a pivot eigenvalue below psd_tol but above the zero test's cutoff
+    pa = _write(tmp_path, "a.json", BlockMatrix(0, 1, [[3e-9]]))
+    pb = _write(tmp_path, "b.json", BlockMatrix(0, 1, [[1.0]]))
+    rc = main(["check-monotone", pa, pb])
+    stmts = _find(_records(capsys.readouterr().out), check="statements")
+    assert rc == 0
+    assert stmts["rank_path_constant"] is True and stmts["consistent"] is True
+
+
 def test_check_monotone_reversed_hypothesis_fails(tmp_path, capsys, pair_2x2):
     a, b = pair_2x2
     pa = _write(tmp_path, "a.json", a)

@@ -153,6 +153,23 @@ def test_inertia_counts():
         inertia(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_inertia_agrees_with_rank_and_scale():
+    # one eigenvalue +-eps, eps log-uniform in [1e-12, 1e-6], on either side
+    # of the zero test's cutoff rank_rel_tol * max|eigenvalue|
+    rng = Xoshiro256pp(2718)
+    for _ in range(200):
+        n = 1 + rng.randint(5)
+        q, _ = np.linalg.qr(_rand(rng, n, n, rng.randint(2) == 1))
+        eps = 10.0 ** float(rng.uniform(1, -12.0, -6.0)[0])
+        w = np.concatenate([[eps], rng.uniform(n - 1, 0.1, 1.0)])
+        w *= np.where(rng.uniform(n) < 0.5, -1.0, 1.0)
+        h = hermitian_part(q @ (w[:, None] * adjoint(q)))
+        i = inertia(h)
+        assert i.n_zero == n - rank(h)
+        for s in (1e-6, 1e6):
+            assert inertia(s * h) == i
+
+
 def test_subspace_leq_and_eq():
     e1 = kernel_basis(np.array([[0.0, 1.0], [0.0, 0.0]]))  # span(e1)
     full = kernel_basis(np.zeros((2, 2)))

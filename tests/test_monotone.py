@@ -5,14 +5,17 @@ from blockpivot import (
     DEFAULT_TOL,
     BlockMatrix,
     GenSpec,
+    Inertia,
     InvalidInputError,
     ORDERED_PAIR_MODES,
     PreconditionError,
+    adjoint,
     albert_psd_conditions,
     block_diagonalize,
     det_sign_path_check,
     ep_congruence_schur,
     hermitian_part,
+    inertia,
     jppt_im_congruence,
     loewner_leq,
     max_abs,
@@ -32,7 +35,9 @@ from blockpivot import (
     solve_saddle,
     spectral_path_check,
 )
+from blockpivot import generate as gen
 from blockpivot.rng import Xoshiro256pp
+from blockpivot.suites import _ep_congruence_trial
 
 
 def test_report_on_scalar_pair(pair_2x2):
@@ -239,8 +244,9 @@ def test_order_conditions_match_direct_ordering():
 
 
 def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
-    # one gppt per operand, plus one pseudoinverse of the pivot difference
-    # and the difference identity's own kernel/range certificates; the
+    # one gppt per operand, plus one pseudoinverse of the pivot difference;
+    # the difference identity adds pinv(B22 - A22) and the Schur complement
+    # of B - A, and takes its kernel/range certificates from eigh; the
     # minimizers' kernel basis is the saddle routines' second SVD
     calls = []
     svd = np.linalg.svd
@@ -255,7 +261,7 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
         return len(calls)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    limits = ((ppt_monotonicity_report, 2), (ppt_order_conditions, 3), (schur_difference_identity, 9))
+    limits = ((ppt_monotonicity_report, 2), (ppt_order_conditions, 3), (schur_difference_identity, 5))
     rng = Xoshiro256pp(4242)
     for fld in ("real", "complex"):
         spec = GenSpec(1 + rng.randint(4), 1 + rng.randint(4), fld, rng.next_uint64())
@@ -275,6 +281,9 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
             (solve_saddle, (s, x1, y2), 2),
         ):
             assert svd_count(fn, *args) <= limit, fn.__name__
+    # one gppt, then one SVD in is_ep and one in each congruence
+    # (seed 12345 takes the Im-PSD branch)
+    assert svd_count(_ep_congruence_trial, 12345, DEFAULT_TOL) <= 4
     # a crossing rank path costs no SVD beyond the two gppt calls
     a, b = rand_ordered_pair(CROSSING_PAIRS[0], "generic")
     assert not ppt_monotonicity_report(a, b).rank_path.constant
@@ -323,12 +332,40 @@ def test_schur_difference_hypothesis_violations():
         schur_difference_identity(a2, b2)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: pinv/gppt cut singular values below rank_rel_tol * sigma_max "
-    "while the rank path counts |eigenvalue| <= psd_tol as zero (ROADMAP item 2)",
-)
 def test_seam_pair_verdicts_agree():
-    # A22 = 3e-9 is below psd_tol but far above the relative SVD cutoff
+    # A22 = 3e-9 is below psd_tol but far above the zero test's cutoff
     r = ppt_monotonicity_report(BlockMatrix(0, 1, [[3e-9]]), BlockMatrix(0, 1, [[1.0]]))
     assert r.consistent
+    assert pinv_monotone([[3e-9]], [[1.0]]).holds == r.pinv_reversed
+    assert inertia([[3e-9]]) == Inertia(1, 0, 0)
+
+
+def _lifted_seam_pair(rng):
+    """An ordered pair whose pivot A22 has one eigenvalue +-eps, eps
+    log-uniform in [1e-12, 1e-6], that B22 lifts by U[0.1, 1]; the other
+    pivot eigenvalues are +-U[0.1, 1] and B22 lifts them by U[0, 0.05]."""
+    n1 = rng.randint(3)
+    n2 = 1 + rng.randint(4)
+    fld = "complex" if rng.randint(2) else "real"
+    frame = gen._orthonormal_columns(rng, n2, n2, fld, 1.0)
+    signs = np.array([1.0 if rng.randint(2) == 0 else -1.0 for _ in range(n2)])
+    eps = 10.0 ** float(rng.uniform(1, -12.0, -6.0)[0])
+    diag_a = np.concatenate([[eps], rng.uniform(n2 - 1, 0.1, 1.0)]) * signs
+    lift = np.concatenate([rng.uniform(1, 0.1, 1.0), rng.uniform(n2 - 1, 0.0, 0.05)])
+    a22 = gen._hermitize(frame @ (diag_a[:, None] * adjoint(frame)))
+    d22 = gen._hermitize(frame @ (lift[:, None] * adjoint(frame)))
+    a12 = gen._draw_matrix(rng, n1, n2, fld, 1.0)
+    a11 = gen._hermitize(gen._draw_matrix(rng, n1, n1, fld, 1.0))
+    a = gen._assemble_hermitian(n1, n2, a11, a12, a22)
+    diff = gen._psd_with_given_22(rng, n1, n2, fld, 1.0, d22)
+    return a, BlockMatrix(n1, n2, gen._hermitize(a.data + diff.data))
+
+
+def test_lifted_seam_pairs_are_consistent():
+    # the three criteria must call the same tiny pivot eigenvalue zero
+    rng = Xoshiro256pp(31415)
+    for i in range(320):
+        a, b = _lifted_seam_pair(rng)
+        r = ppt_monotonicity_report(a, b)
+        assert r.hypothesis_ok and r.consistent, i
+        assert pinv_monotone(a.a22, b.a22).holds == r.pinv_reversed, i
