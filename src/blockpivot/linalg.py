@@ -162,9 +162,10 @@ class SubspaceBasis:
 
 def _nonzero(v: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """The zero test: mask of |v| > rank_rel_tol * max|v|, for the singular
-    values or eigenvalues v of one matrix."""
+    values or eigenvalues v of one matrix (or of each matrix of a stack,
+    one per row of a 2-d ``v``)."""
     mag = np.abs(v)
-    return mag > tol.rank_rel_tol * mag.max(initial=0.0)
+    return mag > tol.rank_rel_tol * mag.max(axis=-1, keepdims=True, initial=0.0)
 
 
 def _svd_factor(arr: np.ndarray, tol: ToleranceConfig):

@@ -12,10 +12,16 @@ eigenvalue counts and the singularity of the pencil come from ``linalg``'s
 zero test (|eigenvalue| <= rank_rel_tol * max|eigenvalue|), the test the
 pseudoinverses read off ``gppt`` use, so the three criteria call the same
 pivot eigenvalues zero.  ``psd_tol`` is the slack of the semidefinite
-order only.  Grid-sampling oracles are provided as independent
-cross-checks of the deterministic verdicts; they keep an absolute
-``psd_tol`` dip test, so they can still flag a crossing where the pivot
-has an eigenvalue just below ``psd_tol`` (A22 = [3e-9] <= B22 = [1]).
+order only.
+
+Grid oracles are provided as independent cross-checks of the
+deterministic verdicts.  They require C <= D or D <= C, certified by one
+eigvalsh of D - C (PreconditionError otherwise), so every sorted
+eigenvalue of (1-t)C + tD is monotone in t (Weyl); one stacked eigvalsh
+over the grid then shows every crossing as a rank drop at a sample or a
+sign change between neighbouring samples.  In exact arithmetic that
+monotonicity makes the endpoint inertias sufficient on their own, so the
+grid cross-checks the code path and the rounding, not the theorem.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockmat import BlockMatrix, check_hermitian_block_pair
-from .errors import PreconditionError
+from .errors import InvalidInputError, PreconditionError
 from .linalg import (
     SubspaceBasis,
     _herm_split,
@@ -36,7 +42,6 @@ from .linalg import (
     loewner_leq,
     max_abs,
     pinv,
-    rank,
     subspace_eq,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -66,57 +71,27 @@ __all__ = [
 # Grid-oracle helpers
 
 
-def _golden_min(f, a: float, b: float, iters: int = 120) -> float:
-    """Golden-section minimizer of a unimodal scalar function on [a, b]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    return (a + b) / 2.0
+def _segment_spectra(ca: np.ndarray, da: np.ndarray, tol: ToleranceConfig, points: int):
+    """Sorted eigenvalues of (1-t)C + tD at ``points`` uniform t, from one
+    stacked eigvalsh, with each sample's rank under the zero test.
 
-
-def _dip_windows(vals, ts) -> list:
-    """Grid windows around local minima of ``vals``, endpoints included.
-
-    A dip between two grid points shows up as a local minimum of the
-    sampled values at one of the flanking indices; a dip inside the
-    first or last cell can make the endpoint itself the minimum, so
-    endpoint windows are candidates too.
+    Returns (ts, eigenvalues of shape (points, m), ranks, nonzero mask).
     """
-    n = len(vals)
-    if n < 2:
-        return []
-    windows = []
-    if vals[0] <= vals[1]:
-        windows.append((float(ts[0]), float(ts[1])))
-    for i in range(1, n - 1):
-        if vals[i] < vals[i - 1] and vals[i] <= vals[i + 1]:
-            windows.append((float(ts[i - 1]), float(ts[i + 1])))
-    if vals[n - 1] < vals[n - 2]:
-        windows.append((float(ts[n - 2]), float(ts[n - 1])))
-    return windows
+    if points < 1:
+        raise InvalidInputError(f"points must be at least 1, got {points}")
+    ts = np.linspace(0.0, 1.0, points)
+    stack = (1.0 - ts)[:, None, None] * hermitian_part(ca) + ts[:, None, None] * hermitian_part(da)
+    w = np.linalg.eigvalsh(stack)
+    nz = _nonzero(w, tol)
+    return ts, w, nz.sum(axis=1), nz
 
 
-def _segment(c: np.ndarray, d: np.ndarray):
-    def h(t: float) -> np.ndarray:
-        return (1.0 - t) * c + t * d
-
-    return h
-
-
-def _sigma_min(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+def _require_semidefinite_step(ca: np.ndarray, da: np.ndarray, tol: ToleranceConfig) -> None:
+    """The grid oracles' precondition: D - C is PSD or NSD within psd_tol,
+    so every sorted eigenvalue of the segment is monotone in t."""
+    w = np.linalg.eigvalsh(hermitian_part(da - ca))
+    if w.size and w[0] < -tol.psd_tol and w[-1] > tol.psd_tol:
+        raise PreconditionError("the grid oracles require C <= D or D <= C")
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +105,11 @@ class RankPathReport:
     ``method`` records which algorithm decided: 'kernel_inertia' (the
     kernels of the endpoints differ), 'spectral' (eigenvalues of the
     compressed pencil), or 'sampled' (grid oracle).  ``witness_t`` is a
-    point where the rank deviates, present iff ``constant`` is false;
-    ``common_rank`` is present iff ``constant`` is true.
+    point where the rank deviates, present iff ``constant`` is false; for
+    'sampled' it is the first grid point whose rank is below the largest
+    sampled rank, or the right end of the first grid cell across which an
+    eigenvalue changes sign.  ``common_rank`` is present iff ``constant``
+    is true.
     """
 
     constant: bool
@@ -324,12 +302,9 @@ def rank_path_constant(
         if r0 != r1:
             witness = 0.0 if r0 < r1 else 1.0
         else:
-            h = _segment(ca, da)
-            witness = 0.5
-            for t in np.linspace(0.0, 1.0, 101)[1:-1]:
-                if _herm_split(h(float(t)), tol)[2].size != r0:
-                    witness = float(t)
-                    break
+            ts, _, ranks, _ = _segment_spectra(ca, da, tol, 101)
+            off = np.flatnonzero(ranks[1:-1] != r0)
+            witness = float(ts[1 + off[0]]) if off.size else 0.5
         return RankPathReport(False, None, witness, "kernel_inertia", (r0, r1))
     cr = hermitian_part(adjoint(supp_d) @ ca @ supp_d)
     dr = hermitian_part(adjoint(supp_d) @ da @ supp_d)
@@ -351,34 +326,28 @@ def rank_path_sampled(
 ) -> RankPathReport:
     """Grid-sampling oracle for the constant-rank verdict.
 
-    Independent of the spectral route: ranks come from the SVD cutoff at
-    ``points`` uniform t values, and interior dips of the borderline
-    singular value are refined by golden-section search so rank drops
-    between grid points are still detected.
+    Independent of the spectral route: the segment is sampled at
+    ``points`` uniform t values, with ranks by the zero test on each
+    sample's eigenvalues.  Requires C <= D or D <= C (PreconditionError
+    otherwise); then every sorted eigenvalue is monotone in t, so a
+    crossing between two samples shows as a strict sign change of a
+    nonzero eigenvalue, and one at a sample as a rank below the maximum.
+    The rank is not constant iff either is seen; the witness is the first
+    such sample, the right end of the cell for a sign change.  In exact
+    arithmetic monotonicity makes the endpoint inertias sufficient on
+    their own, so the grid cross-checks the code path and the rounding,
+    not the theorem.
     """
     ca, da = check_hermitian_pair(c, d, tol)
-    m = ca.shape[0]
-    h = _segment(ca, da)
-    ts = np.linspace(0.0, 1.0, points)
-    ranks = [rank(h(float(t)), tol) for t in ts]
-    endpoint = (ranks[0], ranks[-1])
-    r_max = max(ranks)
-    if m == 0 or r_max == 0:
-        return RankPathReport(True, 0, None, "sampled", endpoint)
-    for i, r in enumerate(ranks):
-        if r < r_max:
-            return RankPathReport(False, None, float(ts[i]), "sampled", endpoint)
-
-    def borderline(t: float) -> float:
-        s = np.linalg.svd(h(t), compute_uv=False)
-        return float(s[r_max - 1])
-
-    scale = 1.0 + max(max_abs(ca), max_abs(da))
-    vals = [borderline(float(t)) for t in ts]
-    for lo, hi in _dip_windows(vals, ts):
-        t_star = _golden_min(borderline, lo, hi)
-        if borderline(t_star) <= tol.psd_tol * scale:
-            return RankPathReport(False, None, float(t_star), "sampled", endpoint)
+    _require_semidefinite_step(ca, da, tol)
+    ts, w, ranks, nz = _segment_spectra(ca, da, tol, points)
+    endpoint = (int(ranks[0]), int(ranks[-1]))
+    r_max = int(ranks.max())
+    signs = np.sign(w) * nz
+    flipped = np.any(signs[:-1] * signs[1:] < 0.0, axis=1)
+    bad = np.flatnonzero((ranks < r_max) | np.concatenate(([False], flipped)))
+    if bad.size:
+        return RankPathReport(False, None, float(ts[bad[0]]), "sampled", endpoint)
     return RankPathReport(True, r_max, None, "sampled", endpoint)
 
 
@@ -390,33 +359,19 @@ def det_sign_path_check(
 ) -> bool:
     """Determinant-sign/rank grid oracle for the no-crossing verdict.
 
-    Samples det[(1-t)C + tD] (as a product of eigenvalues) and the SVD
-    rank on a uniform grid; a rank drop, a sign change, or an interior
-    dip of the smallest singular value refined below psd_tol counts as a
-    crossing.  Returns True when no crossing is detected.
+    Samples (1-t)C + tD at ``points`` uniform t values, with the same
+    precondition (C <= D or D <= C) and caveat as ``rank_path_sampled``.
+    A sample of rank below the order, or a change in the count of negative
+    eigenvalues between neighbouring samples, counts as a crossing; the
+    sign of the determinant is the parity of that count, and the count
+    also sees two crossings inside one cell.  Returns True when no
+    crossing is detected.
     """
     ca, da = check_hermitian_pair(c, d, tol)
-    m = ca.shape[0]
-    if m == 0:
-        return True
-    h = _segment(ca, da)
-    ts = np.linspace(0.0, 1.0, points)
-    dets = []
-    for t in ts:
-        ht = hermitian_part(h(float(t)))
-        if rank(ht, tol) < m:
-            return False
-        dets.append(float(np.prod(np.linalg.eigvalsh(ht))))
-    for i in range(1, points):
-        if dets[i - 1] * dets[i] < 0.0:
-            return False
-    scale = 1.0 + max(max_abs(ca), max_abs(da))
-    abs_dets = [abs(x) for x in dets]
-    for lo, hi in _dip_windows(abs_dets, ts):
-        t_star = _golden_min(lambda t: _sigma_min(h(t)), lo, hi)
-        if _sigma_min(h(float(t_star))) <= tol.psd_tol * scale:
-            return False
-    return True
+    _require_semidefinite_step(ca, da, tol)
+    _, w, ranks, _ = _segment_spectra(ca, da, tol, points)
+    negatives = np.sum(w < 0.0, axis=1)
+    return bool(np.all(ranks == ca.shape[0]) and np.all(negatives == negatives[0]))
 
 
 def ppt_monotonicity_report(

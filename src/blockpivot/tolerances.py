@@ -9,14 +9,13 @@ Three knobs cover all predicates, each with one meaning:
   rank, kernel and singularity test built on them.
 * ``psd_tol`` -- absolute slack of the semidefinite order: ``loewner_leq``
   and ``is_psd`` accept a smallest eigenvalue of the difference down to
-  ``-psd_tol``.  The grid oracles also use it for their dip tests.
+  ``-psd_tol``.
 * ``eq_tol`` -- residual threshold for equality of matrices and for
   inclusion certificates, applied relative to ``1 + max|entry|``.
 
 The ``psd_tol`` slack is not scaled with the operands, so an ordering
-verdict can change when a pair is multiplied by a tiny or huge factor,
-and the grid oracles still see a crossing on ``[3e-9] <= [1]``; a
-scale-aware slack is ROADMAP item 2.
+verdict can change when a pair is multiplied by a tiny or huge factor;
+a scale-aware slack is ROADMAP item 3.
 """
 
 from __future__ import annotations

@@ -151,6 +151,14 @@ def test_rank_path_routes():
     # sign flip crossing in the interior
     r3 = rank_path_constant(np.array([[-1.0]]), np.array([[1.0]]), require_order=False)
     assert not r3.constant and abs(r3.witness_t - 0.5) <= 1e-6
+    # kernels differ at equal endpoint ranks: the witness is an interior sample
+    c, d = np.diag([-1.0, 0.0]), np.diag([0.0, 1.0])
+    r4 = rank_path_constant(c, d, require_order=False)
+    assert not r4.constant
+    assert r4.method == "kernel_inertia"
+    assert r4.endpoint_ranks == (1, 1)
+    w = r4.witness_t
+    assert np.linalg.matrix_rank((1.0 - w) * c + w * d) != 1
 
 
 # Pairs on which minimizing the smallest singular value over a grid and
@@ -207,6 +215,22 @@ def test_sampled_oracle_catches_near_endpoint_crossing():
     assert not det_sign_path_check(c, d)
     # and mirrored at the right endpoint
     assert not rank_path_sampled(d, c).constant
+
+
+def test_grid_oracles_require_a_semidefinite_step():
+    # D - C = diag(-1, 1) is indefinite, so the sorted eigenvalues of the
+    # segment need not be monotone and a grid could miss a crossing
+    c, d = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    with pytest.raises(PreconditionError):
+        rank_path_sampled(c, d)
+    with pytest.raises(PreconditionError):
+        det_sign_path_check(c, d)
+
+
+def test_grid_oracles_need_a_sample():
+    for fn in (rank_path_sampled, det_sign_path_check):
+        with pytest.raises(InvalidInputError):
+            fn([[1.0]], [[2.0]], points=0)
 
 
 def test_oracles_agree_on_generated_pairs():
@@ -268,6 +292,9 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
         a, b = rand_ordered_pair(spec, "constant_rank")
         for fn, limit in limits:
             assert svd_count(fn, a, b) <= limit, fn.__name__
+        # the grid oracles take eigenvalues only
+        for fn in (rank_path_sampled, det_sign_path_check):
+            assert svd_count(fn, a.a22, b.a22) == 0, fn.__name__
         spec = GenSpec(1 + rng.randint(4), 1 + rng.randint(4), fld, rng.next_uint64())
         h = rand_hermitian(spec)
         s = rand_saddle_instance(spec)
@@ -338,6 +365,8 @@ def test_seam_pair_verdicts_agree():
     assert r.consistent
     assert pinv_monotone([[3e-9]], [[1.0]]).holds == r.pinv_reversed
     assert inertia([[3e-9]]) == Inertia(1, 0, 0)
+    assert rank_path_sampled([[3e-9]], [[1.0]]).constant
+    assert det_sign_path_check([[3e-9]], [[1.0]])
 
 
 def _lifted_seam_pair(rng):
@@ -369,3 +398,4 @@ def test_lifted_seam_pairs_are_consistent():
         r = ppt_monotonicity_report(a, b)
         assert r.hypothesis_ok and r.consistent, i
         assert pinv_monotone(a.a22, b.a22).holds == r.pinv_reversed, i
+        assert rank_path_sampled(a.a22, b.a22).constant == r.rank_path.constant, i
