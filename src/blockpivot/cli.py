@@ -196,6 +196,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             "trials": result.trials,
             "failures": len(result.failures),
             "pass": result.passed,
+            "seconds": result.seconds,
         })
         for failure in result.failures:
             out.emit({

@@ -7,6 +7,12 @@ combination dominates the combination of transforms.  Extracting the
 PSD pair as pivot blocks bordered by zeros gives convexity of the
 pseudoinverse.  Each operation returns the gap matrix with a PSD
 verdict rather than a bare boolean, so failures are inspectable.
+
+Every gap is evaluated on a concavity segment: the pair is checked once
+when the segment is built, each endpoint transform is computed on first
+use and kept, and only the mixed matrix is transformed at each t.  The
+public functions build a segment for one t; the concavity suite builds
+one per pair and evaluates it at every t.
 """
 
 from __future__ import annotations
@@ -66,8 +72,73 @@ def _check_concavity_pair(a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig):
 
 
 def _psd_verdict(gap: np.ndarray, tol: ToleranceConfig) -> GapResult:
-    g = hermitian_part(gap) if gap.size else gap
-    return GapResult(g, loewner_leq(np.zeros_like(g), g, tol))
+    """The gap's Hermitian part and whether it is PSD within psd_tol.
+
+    ``hermitian_part`` raises on non-finite entries and returns an exactly
+    Hermitian matrix, so one ``eigvalsh`` decides what ``loewner_leq(0, g)``
+    would.
+    """
+    if not gap.size:
+        return GapResult(gap, True)
+    g = hermitian_part(gap)
+    return GapResult(g, float(np.linalg.eigvalsh(g)[0]) >= -tol.psd_tol)
+
+
+class _ConcavitySegment:
+    """The segment (1-t)X + tY of a pair whose preconditions hold.
+
+    Build it with ``of_blocks`` (block pair: jppt and Schur gaps) or
+    ``of_matrices`` (plain pair: pinv gap); either checks the pair once.
+    Each endpoint transform is computed on its first use and kept.  At
+    each t the mixed matrix is transformed by the public ``jppt``,
+    ``schur_complement`` or ``pinv``, the code under test.
+    """
+
+    def __init__(self, x, y, tol: ToleranceConfig):
+        self._x = x
+        self._y = y
+        self._tol = tol
+        self._ends: dict = {}
+
+    @classmethod
+    def of_blocks(cls, a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig) -> "_ConcavitySegment":
+        _check_concavity_pair(a, b, tol)
+        return cls(a, b, tol)
+
+    @classmethod
+    def of_matrices(cls, c, d, tol: ToleranceConfig) -> "_ConcavitySegment":
+        ca, da = check_hermitian_pair(c, d, tol)
+        _check_psd_equal_kernels(ca, da, ca, da, "the matrices", tol)
+        return cls(ca, da, tol)
+
+    def _at_ends(self, transform):
+        """(transform(X), transform(Y)), computed once."""
+        if transform not in self._ends:
+            self._ends[transform] = (transform(self._x, self._tol), transform(self._y, self._tol))
+        return self._ends[transform]
+
+    def _mix(self, t: float) -> BlockMatrix:
+        a, b = self._x, self._y
+        return BlockMatrix(a.n1, a.n2, (1.0 - t) * a.data + t * b.data)
+
+    def jppt_gap(self, t: float) -> GapResult:
+        t = _check_t(t)
+        mixed = jppt(self._mix(t), self._tol).data
+        ja, jb = self._at_ends(jppt)
+        return _psd_verdict(mixed - ((1.0 - t) * ja.data + t * jb.data), self._tol)
+
+    def schur_gap(self, t: float) -> GapResult:
+        t = _check_t(t)
+        mixed = schur_complement(self._mix(t), self._tol)
+        sa, sb = self._at_ends(schur_complement)
+        return _psd_verdict(mixed - ((1.0 - t) * sa + t * sb), self._tol)
+
+    def pinv_gap(self, t: float) -> GapResult:
+        t = _check_t(t)
+        mix = (1.0 - t) * self._x + t * self._y
+        pc, pd = self._at_ends(pinv)
+        gap = ((1.0 - t) * pc + t * pd) - pinv(hermitian_part(mix), self._tol)
+        return _psd_verdict(gap, self._tol)
 
 
 def jppt_concavity_gap(
@@ -76,10 +147,7 @@ def jppt_concavity_gap(
     """jppt((1-t)A + tB) - [(1-t) jppt(A) + t jppt(B)]; PSD under the
     preconditions (Hermitian PSD pair, shared pivot kernel)."""
     t = _check_t(t)
-    _check_concavity_pair(a, b, tol)
-    mix = BlockMatrix(a.n1, a.n2, (1.0 - t) * a.data + t * b.data)
-    gap = jppt(mix, tol).data - ((1.0 - t) * jppt(a, tol).data + t * jppt(b, tol).data)
-    return _psd_verdict(gap, tol)
+    return _ConcavitySegment.of_blocks(a, b, tol).jppt_gap(t)
 
 
 def schur_concavity_gap(
@@ -88,12 +156,7 @@ def schur_concavity_gap(
     """Schur-complement gap of the convex combination; equals the (1,1)
     block of the jppt gap."""
     t = _check_t(t)
-    _check_concavity_pair(a, b, tol)
-    mix = BlockMatrix(a.n1, a.n2, (1.0 - t) * a.data + t * b.data)
-    gap = schur_complement(mix, tol) - (
-        (1.0 - t) * schur_complement(a, tol) + t * schur_complement(b, tol)
-    )
-    return _psd_verdict(gap, tol)
+    return _ConcavitySegment.of_blocks(a, b, tol).schur_gap(t)
 
 
 def bordered_embedding(c, d) -> tuple[BlockMatrix, BlockMatrix]:
@@ -121,8 +184,4 @@ def pinv_convexity_gap(c, d, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> Ga
     bordered embedding of (C, D).
     """
     t = _check_t(t)
-    ca, da = check_hermitian_pair(c, d, tol)
-    _check_psd_equal_kernels(ca, da, ca, da, "the matrices", tol)
-    mix = (1.0 - t) * ca + t * da
-    gap = ((1.0 - t) * pinv(ca, tol) + t * pinv(da, tol)) - pinv(hermitian_part(mix), tol)
-    return _psd_verdict(gap, tol)
+    return _ConcavitySegment.of_matrices(c, d, tol).pinv_gap(t)

@@ -168,6 +168,11 @@ def schur_min(a: BlockMatrix, x1, tol: ToleranceConfig = DEFAULT_TOL) -> Minimiz
     return MinimizationResult(value, AffineSet(particular, kernel_basis(a.a22, tol)))
 
 
+def _ppt_min_value(jg: np.ndarray, z: np.ndarray, tol: ToleranceConfig) -> float:
+    """(1/2)(z, jppt(A) z), given jg = jppt(A) of a certified A."""
+    return 0.5 * _real_quadratic(jg, z, tol, "the pivot-transform quadratic form")
+
+
 def ppt_min(a: BlockMatrix, x1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> MinimizationResult:
     """Minimize the coupled objective over x2.
 
@@ -179,8 +184,7 @@ def ppt_min(a: BlockMatrix, x1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> Minim
     g = _check_min_preconditions(a, tol)
     x1v, y2v = _split_z(a, x1, y2)
     z = np.concatenate([x1v, y2v])
-    j = signature_matrix(a.n1, a.n2)
-    value = 0.5 * _real_quadratic(j @ g.data, z, tol, "the pivot-transform quadratic form")
+    value = _ppt_min_value(signature_matrix(a.n1, a.n2) @ g.data, z, tol)
     particular = g.a21 @ x1v + g.a22 @ y2v
     return MinimizationResult(value, AffineSet(particular, kernel_basis(a.a22, tol)))
 
@@ -233,30 +237,32 @@ def solve_saddle(a: BlockMatrix, x1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> 
 def reconstruct_jppt_from_minima(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Recover jppt(A) entrywise from minimization values by polarization.
 
-    Runs ppt_min on basis vectors z = [x1; y2] and their pairwise (and,
-    over the complex field, imaginary-unit) combinations; the doubled
-    values are the quadratic form of the unique self-adjoint
-    representing matrix, which this reassembles.
+    Takes the ppt_min value on basis vectors z = [x1; y2] and their
+    pairwise (and, over the complex field, imaginary-unit) combinations;
+    the doubled values are the quadratic form of the unique self-adjoint
+    representing matrix, which this reassembles.  The minimization
+    hypotheses are certified, and A factored, once per call.
     """
     n = a.n
     complex_field = a.field_tag == "complex"
     dtype = np.complex128 if complex_field else np.float64
+    m = np.zeros((n, n), dtype=dtype)
+    if n == 0:
+        return m
+    jg = signature_matrix(a.n1, a.n2) @ _check_min_preconditions(a, tol).data
 
     def q(z: np.ndarray) -> float:
-        x1 = z[: a.n1]
-        y2 = z[a.n1 :]
-        return 2.0 * ppt_min(a, x1, y2, tol).value
+        return 2.0 * _ppt_min_value(jg, z, tol)
 
     basis = np.eye(n, dtype=dtype)
-    m = np.zeros((n, n), dtype=dtype)
-    diag = np.array([q(basis[:, i]) for i in range(n)])
+    diag = np.array([q(basis[i]) for i in range(n)])
     for i in range(n):
         m[i, i] = diag[i]
     for i in range(n):
         for j in range(i + 1, n):
-            re = (q(basis[:, i] + basis[:, j]) - diag[i] - diag[j]) / 2.0
+            re = (q(basis[i] + basis[j]) - diag[i] - diag[j]) / 2.0
             if complex_field:
-                im = -(q(basis[:, i] + 1j * basis[:, j]) - diag[i] - diag[j]) / 2.0
+                im = -(q(basis[i] + 1j * basis[j]) - diag[i] - diag[j]) / 2.0
                 m[i, j] = re + 1j * im
                 m[j, i] = re - 1j * im
             else:

@@ -9,6 +9,7 @@ reproduced in isolation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,7 @@ class SuiteResult:
     name: str
     trials: int
     failures: list[TrialFailure] = field(default_factory=list)
+    seconds: float = 0.0  # wall time of the trial loop
 
     @property
     def passed(self) -> bool:
@@ -200,25 +202,28 @@ def _concavity_trial(seed: int, tol: ToleranceConfig) -> list[str]:
     fld = _trial_field(rng)
     a, b = gen.rand_psd_pair_same_kernel(gen.GenSpec(n1, n2, fld, rng.next_uint64()))
     ts = [i / 10.0 for i in range(11)] + list(rng.uniform(3, 0.0, 1.0))
+    # each pair is checked once and its endpoint transforms kept for every t
+    segment = cvx._ConcavitySegment.of_blocks(a, b, tol)
+    pivots = cvx._ConcavitySegment.of_matrices(a.a22, b.a22, tol)
+    bordered = cvx._ConcavitySegment.of_blocks(*cvx.bordered_embedding(a.a22, b.a22), tol)
     bad = []
     for t in ts:
-        big = cvx.jppt_concavity_gap(a, b, t, tol)
+        big = segment.jppt_gap(t)
         if not big.psd:
             bad.append(f"transform concavity gap not PSD at t={t:.3f}")
             break
-        small = cvx.schur_concavity_gap(a, b, t, tol)
+        small = segment.schur_gap(t)
         if not small.psd:
             bad.append(f"Schur concavity gap not PSD at t={t:.3f}")
             break
         if max_abs(small.gap - big.gap[:n1, :n1]) > 1e-10:
             bad.append(f"Schur gap is not the (1,1) block of the transform gap at t={t:.3f}")
             break
-        pgap = cvx.pinv_convexity_gap(a.a22, b.a22, t, tol)
+        pgap = pivots.pinv_gap(t)
         if not pgap.psd:
             bad.append(f"pseudoinverse convexity gap not PSD at t={t:.3f}")
             break
-        ea, eb = cvx.bordered_embedding(a.a22, b.a22)
-        egap = cvx.jppt_concavity_gap(ea, eb, t, tol)
+        egap = bordered.jppt_gap(t)
         if max_abs(pgap.gap - egap.gap[1:, 1:]) > 1e-10:
             bad.append(f"pseudoinverse gap is not the pivot block of the bordered gap at t={t:.3f}")
             break
@@ -308,9 +313,11 @@ def run_suite(
         trial_fn = _SUITE_TRIALS[suite_name]
         trial_seeds = splitmix64_stream(seed, trials)
         result = SuiteResult(suite_name, trials)
+        start = time.perf_counter()
         for i, trial_seed in enumerate(trial_seeds):
             details = trial_fn(trial_seed, tol)
             for detail in details:
                 result.failures.append(TrialFailure(i, trial_seed, detail))
+        result.seconds = time.perf_counter() - start
         results.append(result)
     return results

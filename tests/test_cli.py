@@ -311,6 +311,9 @@ def test_verify_all_enumerates_every_suite(capsys):
     assert rc == 0
     suites = [r for r in records if r.get("check") == "suite"]
     assert len(suites) == 8
+    # each suite reports the wall time of its trial loop
+    for record in suites:
+        assert isinstance(record["seconds"], float) and record["seconds"] >= 0.0
     summary = _find(records, summary="pass")
     assert summary["suites"] == 8 and summary["failures"] == 0
 
@@ -340,6 +343,7 @@ def test_verify_human_output(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "summary=pass" in out
+    assert "suite=embedding" in out and "seconds=" in out
 
 
 # ---------------------------------------------------------------------------

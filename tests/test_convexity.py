@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockpivot import (
+    DEFAULT_TOL,
     BlockMatrix,
     GenSpec,
     InvalidInputError,
@@ -13,11 +14,14 @@ from blockpivot import (
     max_abs,
     pinv,
     pinv_convexity_gap,
+    rand_matrix,
     rand_psd_pair_same_kernel,
     schur_complement,
     schur_concavity_gap,
 )
+from blockpivot.convexity import _ConcavitySegment
 from blockpivot.rng import Xoshiro256pp
+from blockpivot.suites import _concavity_trial
 
 
 def test_pinv_convexity_gap_known_value():
@@ -114,3 +118,91 @@ def test_precondition_rejections():
         jppt_concavity_gap(a, b, 0.5)  # pivot kernels differ
     with pytest.raises(InvalidInputError):
         schur_concavity_gap(a, a, -0.1)
+    # t is checked before the pair: a bad t wins over a failed precondition
+    with pytest.raises(InvalidInputError):
+        pinv_convexity_gap(c, d, 1.5)
+    with pytest.raises(InvalidInputError):
+        jppt_concavity_gap(a, b, -0.1)
+
+
+def test_segment_gaps_equal_public_gaps():
+    # the suite's once-checked segments and the one-shot public functions
+    # give the same bits and verdicts
+    rng = Xoshiro256pp(778)
+    ts = [i / 10.0 for i in range(11)]
+    for k in range(12):
+        fld = ("real", "complex")[k % 2]
+        a, b = rand_psd_pair_same_kernel(
+            GenSpec(1 + rng.randint(3), 1 + rng.randint(3), fld, rng.next_uint64())
+        )
+        ea, eb = bordered_embedding(a.a22, b.a22)
+        segment = _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL)
+        pivots = _ConcavitySegment.of_matrices(a.a22, b.a22, DEFAULT_TOL)
+        bordered = _ConcavitySegment.of_blocks(ea, eb, DEFAULT_TOL)
+        for t in ts:
+            for seg_gap, public_gap in (
+                (segment.jppt_gap(t), jppt_concavity_gap(a, b, t)),
+                (segment.schur_gap(t), schur_concavity_gap(a, b, t)),
+                (pivots.pinv_gap(t), pinv_convexity_gap(a.a22, b.a22, t)),
+                (bordered.jppt_gap(t), jppt_concavity_gap(ea, eb, t)),
+            ):
+                assert seg_gap.gap.dtype == public_gap.gap.dtype
+                assert np.array_equal(seg_gap.gap, public_gap.gap)
+                assert seg_gap.psd == public_gap.psd
+
+
+def test_gaps_decompose_each_pair_once(monkeypatch):
+    counts = {"svd": 0, "eigvalsh": 0}
+    for name in counts:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+
+    def run(fn, *args):
+        for name in counts:
+            counts[name] = 0
+        fn(*args)
+        return counts["svd"], counts["eigvalsh"]
+
+    # 14 values of t, each transforming the mix and deciding four gaps (4 SVDs,
+    # 4 eigvalsh), plus per trial the generator (2 SVDs), three pair checks
+    # (2 SVDs, 2 eigvalsh each) and eight endpoint transforms; the per-t
+    # gap calls this replaced ran 282 SVDs and 168 eigvalsh
+    svds, eigs = run(_concavity_trial, 12345, DEFAULT_TOL)
+    assert svds <= 72 and eigs <= 62
+    # a one-shot call checks the pair (2 kernel SVDs) and transforms three
+    # matrices (3 SVDs), as before the segment: 5 SVDs each
+    rng = Xoshiro256pp(4343)
+    for fld in ("real", "complex"):
+        a, b = rand_psd_pair_same_kernel(GenSpec(2, 3, fld, rng.next_uint64()))
+        assert run(jppt_concavity_gap, a, b, 0.3)[0] <= 5
+        assert run(schur_concavity_gap, a, b, 0.3)[0] <= 5
+        assert run(pinv_convexity_gap, a.a22, b.a22, 0.3)[0] <= 5
+
+
+def test_equal_kernel_hypothesis_is_needed():
+    # PSD pairs whose pivot kernels differ (e1 in ker A22, e2 in ker B22):
+    # the raw transform gap is indefinite, and the gap function refuses them
+    rng = Xoshiro256pp(2026)
+    for k in range(300):
+        n1 = 1 + rng.randint(3)
+        n2 = 2 + rng.randint(3)
+        fld = ("real", "complex")[k % 2]
+        n = n1 + n2
+        ga = rand_matrix(n, n, fld, rng.next_uint64())
+        gb = rand_matrix(n, n, fld, rng.next_uint64())
+        ga[n1, :] = 0.0
+        gb[n1 + 1, :] = 0.0
+        a = BlockMatrix(n1, n2, ga @ ga.conj().T)
+        b = BlockMatrix(n1, n2, gb @ gb.conj().T)
+        for t in (0.25, 0.5, 0.75):
+            mix = BlockMatrix(n1, n2, (1 - t) * a.data + t * b.data)
+            gap = jppt(mix).data - ((1 - t) * jppt(a).data + t * jppt(b).data)
+            w_min = np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0]
+            assert w_min < -DEFAULT_TOL.psd_tol, (k, t, w_min)
+        with pytest.raises(PreconditionError):
+            jppt_concavity_gap(a, b, 0.5)

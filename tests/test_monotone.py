@@ -30,6 +30,7 @@ from blockpivot import (
     rand_saddle_rhs,
     rank_path_constant,
     rank_path_sampled,
+    reconstruct_jppt_from_minima,
     schur_difference_identity,
     schur_min,
     solve_saddle,
@@ -271,7 +272,9 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
     # one gppt per operand, plus one pseudoinverse of the pivot difference;
     # the difference identity adds pinv(B22 - A22) and the Schur complement
     # of B - A, and takes its kernel/range certificates from eigh; the
-    # minimizers' kernel basis is the saddle routines' second SVD
+    # minimizers' kernel basis is the saddle routines' second SVD; the
+    # polarization reconstruction certifies and factors once per call (it
+    # used to run ppt_min, 2 SVDs, for each of its n(n+1)/2 or n^2 values)
     calls = []
     svd = np.linalg.svd
 
@@ -306,6 +309,7 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
             (schur_min, (s, x1), 2),
             (ppt_min, (s, x1, y2), 2),
             (solve_saddle, (s, x1, y2), 2),
+            (reconstruct_jppt_from_minima, (s,), 1),
         ):
             assert svd_count(fn, *args) <= limit, fn.__name__
     # one gppt, then one SVD in is_ep and one in each congruence
