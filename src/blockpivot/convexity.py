@@ -9,10 +9,12 @@ pseudoinverse.  Each operation returns the gap matrix with a PSD
 verdict rather than a bare boolean, so failures are inspectable.
 
 Every gap is evaluated on a concavity segment: the pair is checked once
-when the segment is built, each endpoint transform is computed on first
-use and kept, and only the mixed matrix is transformed at each t.  The
-public functions build a segment for one t; the concavity suite builds
-one per pair and evaluates it at every t.
+when the segment is built, and each gap kind is evaluated for a whole
+vector of t at once.  The endpoints and the mixed matrices of all the t
+values form one stack, transformed with one stacked SVD, and one stacked
+``eigvalsh`` decides every gap of that kind.  The public functions are the
+one-t case; the concavity suite builds one segment per pair and evaluates
+each gap kind once, at all of its t values.
 """
 
 from __future__ import annotations
@@ -24,16 +26,15 @@ import numpy as np
 from .blockmat import BlockMatrix, check_hermitian_block_pair
 from .errors import InvalidInputError, PreconditionError
 from .linalg import (
+    _pinv_stack,
     check_hermitian_pair,
     check_square_pair,
-    hermitian_part,
     kernel_basis,
     loewner_leq,
-    pinv,
     subspace_eq,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .transforms import jppt, schur_complement
+from .transforms import _gppt_stack, signature_matrix
 
 __all__ = [
     "GapResult",
@@ -71,34 +72,47 @@ def _check_concavity_pair(a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig):
     _check_psd_equal_kernels(a.data, b.data, a.a22, b.a22, "pivot blocks", tol)
 
 
-def _psd_verdict(gap: np.ndarray, tol: ToleranceConfig) -> GapResult:
-    """The gap's Hermitian part and whether it is PSD within psd_tol.
+def _weights(ts) -> np.ndarray:
+    """The t values, each checked, shaped (k, 1, 1) to scale a stack."""
+    return np.array([_check_t(t) for t in ts], dtype=np.float64).reshape(-1, 1, 1)
 
-    ``hermitian_part`` raises on non-finite entries and returns an exactly
-    Hermitian matrix, so one ``eigvalsh`` decides what ``loewner_leq(0, g)``
-    would.
+
+def _hermitian_parts(stack: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 of each matrix of a stack, as ``hermitian_part`` forms it."""
+    return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _psd_verdicts(gaps: np.ndarray, tol: ToleranceConfig) -> list[GapResult]:
+    """Each gap's Hermitian part and whether it is PSD within psd_tol.
+
+    The Hermitian parts are exact, so one stacked ``eigvalsh`` decides what
+    ``loewner_leq(0, g)`` would for each gap; empty gaps are PSD.
     """
-    if not gap.size:
-        return GapResult(gap, True)
-    g = hermitian_part(gap)
-    return GapResult(g, float(np.linalg.eigvalsh(g)[0]) >= -tol.psd_tol)
+    if not gaps.size:
+        return [GapResult(g, True) for g in gaps]
+    if not np.isfinite(gaps).all():
+        raise InvalidInputError("matrix contains non-finite entries")
+    herm = _hermitian_parts(gaps)
+    w_min = np.linalg.eigvalsh(herm)[:, 0]
+    return [GapResult(g, bool(w >= -tol.psd_tol)) for g, w in zip(herm, w_min)]
 
 
 class _ConcavitySegment:
     """The segment (1-t)X + tY of a pair whose preconditions hold.
 
     Build it with ``of_blocks`` (block pair: jppt and Schur gaps) or
-    ``of_matrices`` (plain pair: pinv gap); either checks the pair once.
-    Each endpoint transform is computed on its first use and kept.  At
-    each t the mixed matrix is transformed by the public ``jppt``,
-    ``schur_complement`` or ``pinv``, the code under test.
+    ``of_matrices`` (plain pair: pinv gap, and ``bordered`` for the
+    embedded pair); each checks the pair once.  A gap method takes a
+    sequence of t, checks every t first, then transforms the stack
+    [X, Y, mix(t_1), ...] with the stacked form of ``jppt``,
+    ``schur_complement`` or ``pinv`` (one SVD) and returns one GapResult
+    per t, equal to the public one-t function's.
     """
 
     def __init__(self, x, y, tol: ToleranceConfig):
         self._x = x
         self._y = y
         self._tol = tol
-        self._ends: dict = {}
 
     @classmethod
     def of_blocks(cls, a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig) -> "_ConcavitySegment":
@@ -111,34 +125,40 @@ class _ConcavitySegment:
         _check_psd_equal_kernels(ca, da, ca, da, "the matrices", tol)
         return cls(ca, da, tol)
 
-    def _at_ends(self, transform):
-        """(transform(X), transform(Y)), computed once."""
-        if transform not in self._ends:
-            self._ends[transform] = (transform(self._x, self._tol), transform(self._y, self._tol))
-        return self._ends[transform]
+    def bordered(self) -> "_ConcavitySegment":
+        """The block segment of the bordered embedding of a plain pair.
 
-    def _mix(self, t: float) -> BlockMatrix:
-        a, b = self._x, self._y
-        return BlockMatrix(a.n1, a.n2, (1.0 - t) * a.data + t * b.data)
+        Bordering by zeros keeps a checked pair Hermitian and PSD, and its
+        pivot blocks are the pair itself, so it needs no second check.
+        """
+        return _ConcavitySegment(*bordered_embedding(self._x, self._y), self._tol)
 
-    def jppt_gap(self, t: float) -> GapResult:
-        t = _check_t(t)
-        mixed = jppt(self._mix(t), self._tol).data
-        ja, jb = self._at_ends(jppt)
-        return _psd_verdict(mixed - ((1.0 - t) * ja.data + t * jb.data), self._tol)
+    def _transformed(self, w: np.ndarray, transform) -> tuple[np.ndarray, np.ndarray]:
+        """Apply ``transform`` to the stack [X, Y, mixes]; return its mixes'
+        part and, at each t, the combination of its endpoints' parts."""
+        x, y = self._x.data, self._y.data
+        out = transform(np.concatenate([x[None], y[None], (1.0 - w) * x + w * y]))
+        return out[2:], (1.0 - w) * out[0] + w * out[1]
 
-    def schur_gap(self, t: float) -> GapResult:
-        t = _check_t(t)
-        mixed = schur_complement(self._mix(t), self._tol)
-        sa, sb = self._at_ends(schur_complement)
-        return _psd_verdict(mixed - ((1.0 - t) * sa + t * sb), self._tol)
+    def jppt_gaps(self, ts) -> list[GapResult]:
+        w = _weights(ts)
+        n1, n2 = self._x.n1, self._x.n2
+        j = signature_matrix(n1, n2)
+        mixed, ends = self._transformed(w, lambda m: j @ _gppt_stack(m, n1, self._tol))
+        return _psd_verdicts(mixed - ends, self._tol)
 
-    def pinv_gap(self, t: float) -> GapResult:
-        t = _check_t(t)
-        mix = (1.0 - t) * self._x + t * self._y
-        pc, pd = self._at_ends(pinv)
-        gap = ((1.0 - t) * pc + t * pd) - pinv(hermitian_part(mix), self._tol)
-        return _psd_verdict(gap, self._tol)
+    def schur_gaps(self, ts) -> list[GapResult]:
+        w = _weights(ts)
+        n1 = self._x.n1
+        mixed, ends = self._transformed(w, lambda m: _gppt_stack(m, n1, self._tol)[:, :n1, :n1])
+        return _psd_verdicts(mixed - ends, self._tol)
+
+    def pinv_gaps(self, ts) -> list[GapResult]:
+        w = _weights(ts)
+        x, y = self._x, self._y
+        mixes = _hermitian_parts((1.0 - w) * x + w * y)
+        p = _pinv_stack(np.concatenate([x[None], y[None], mixes]), self._tol)
+        return _psd_verdicts(((1.0 - w) * p[0] + w * p[1]) - p[2:], self._tol)
 
 
 def jppt_concavity_gap(
@@ -147,7 +167,7 @@ def jppt_concavity_gap(
     """jppt((1-t)A + tB) - [(1-t) jppt(A) + t jppt(B)]; PSD under the
     preconditions (Hermitian PSD pair, shared pivot kernel)."""
     t = _check_t(t)
-    return _ConcavitySegment.of_blocks(a, b, tol).jppt_gap(t)
+    return _ConcavitySegment.of_blocks(a, b, tol).jppt_gaps([t])[0]
 
 
 def schur_concavity_gap(
@@ -156,7 +176,7 @@ def schur_concavity_gap(
     """Schur-complement gap of the convex combination; equals the (1,1)
     block of the jppt gap."""
     t = _check_t(t)
-    return _ConcavitySegment.of_blocks(a, b, tol).schur_gap(t)
+    return _ConcavitySegment.of_blocks(a, b, tol).schur_gaps([t])[0]
 
 
 def bordered_embedding(c, d) -> tuple[BlockMatrix, BlockMatrix]:
@@ -184,4 +204,4 @@ def pinv_convexity_gap(c, d, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> Ga
     bordered embedding of (C, D).
     """
     t = _check_t(t)
-    return _ConcavitySegment.of_matrices(c, d, tol).pinv_gap(t)
+    return _ConcavitySegment.of_matrices(c, d, tol).pinv_gaps([t])[0]

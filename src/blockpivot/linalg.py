@@ -7,6 +7,10 @@ inertia and the Hermitian eigen-split all apply it, so criteria built on
 ``pinv`` and on eigenvalue counts call the same eigenvalues zero.
 ``psd_tol`` is only the slack of the semidefinite order (``loewner_leq``,
 ``is_psd``).
+
+The pseudoinverse of a ``(k, m, n)`` stack (``_pinv_stack``) comes from one
+stacked SVD and applies the same zero test row by row, to each matrix's
+own singular values; it equals ``pinv`` of each matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -183,14 +187,37 @@ def _svd_factor(arr: np.ndarray, tol: ToleranceConfig):
     return u, s, vh, r
 
 
+def _pinv_of_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.ndarray:
+    """V_r diag(1/s_r) U_r^H from the SVD of a matrix of rank r >= 1, or
+    from the SVDs of a stack of matrices that all have rank r."""
+    v_r = vh[..., :r, :].conj().swapaxes(-1, -2)
+    u_r_h = u[..., :, :r].conj().swapaxes(-1, -2)
+    return v_r @ ((1.0 / s[..., :r])[..., :, None] * u_r_h)
+
+
 def pinv(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD with relative rank cutoff."""
     arr = as_matrix(m)
     u, s, vh, r = _svd_factor(arr, tol)
     if r == 0:
         return np.zeros((arr.shape[1], arr.shape[0]), dtype=arr.dtype)
-    inv = 1.0 / s[:r]
-    return adjoint(vh[:r, :]) @ (inv[:, None] * adjoint(u[:, :r]))
+    return _pinv_of_svd(u, s, vh, r)
+
+
+def _pinv_stack(m: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """``pinv`` of each matrix of a validated ``(k, p, q)`` stack.
+
+    One stacked SVD; the zero test takes each matrix's rank from its own
+    singular values, and the matrices of each rank are assembled together.
+    """
+    k, p, q = m.shape
+    out = np.zeros((k, q, p), dtype=m.dtype)
+    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    ranks = np.count_nonzero(_nonzero(s, tol), axis=-1)
+    for r in np.unique(ranks[ranks > 0]):
+        rows = ranks == r
+        out[rows] = _pinv_of_svd(u[rows], s[rows], vh[rows], int(r))
+    return out
 
 
 def rank(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:

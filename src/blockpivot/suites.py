@@ -202,28 +202,25 @@ def _concavity_trial(seed: int, tol: ToleranceConfig) -> list[str]:
     fld = _trial_field(rng)
     a, b = gen.rand_psd_pair_same_kernel(gen.GenSpec(n1, n2, fld, rng.next_uint64()))
     ts = [i / 10.0 for i in range(11)] + list(rng.uniform(3, 0.0, 1.0))
-    # each pair is checked once and its endpoint transforms kept for every t
+    # each pair is checked once, and each gap kind is evaluated at all t at once
     segment = cvx._ConcavitySegment.of_blocks(a, b, tol)
     pivots = cvx._ConcavitySegment.of_matrices(a.a22, b.a22, tol)
-    bordered = cvx._ConcavitySegment.of_blocks(*cvx.bordered_embedding(a.a22, b.a22), tol)
+    bordered = pivots.bordered()
+    gaps = (segment.jppt_gaps(ts), segment.schur_gaps(ts), pivots.pinv_gaps(ts), bordered.jppt_gaps(ts))
     bad = []
-    for t in ts:
-        big = segment.jppt_gap(t)
+    for t, big, small, pgap, egap in zip(ts, *gaps):
         if not big.psd:
             bad.append(f"transform concavity gap not PSD at t={t:.3f}")
             break
-        small = segment.schur_gap(t)
         if not small.psd:
             bad.append(f"Schur concavity gap not PSD at t={t:.3f}")
             break
         if max_abs(small.gap - big.gap[:n1, :n1]) > 1e-10:
             bad.append(f"Schur gap is not the (1,1) block of the transform gap at t={t:.3f}")
             break
-        pgap = pivots.pinv_gap(t)
         if not pgap.psd:
             bad.append(f"pseudoinverse convexity gap not PSD at t={t:.3f}")
             break
-        egap = bordered.jppt_gap(t)
         if max_abs(pgap.gap - egap.gap[1:, 1:]) > 1e-10:
             bad.append(f"pseudoinverse gap is not the pivot block of the bordered gap at t={t:.3f}")
             break

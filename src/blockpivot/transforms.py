@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockmat import BlockMatrix
 from .errors import InclusionError, PreconditionError
-from .linalg import adjoint, imag_part, max_abs, pinv
+from .linalg import _pinv_stack, adjoint, imag_part, max_abs, pinv
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -46,21 +46,31 @@ def schur_complement(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     return a.a11 - a.a12 @ pinv(a.a22, tol) @ a.a21
 
 
+def _gppt_formula(data: np.ndarray, n1: int, p: np.ndarray) -> np.ndarray:
+    """[[A/A22, A12 P], [-P A21, P]] with P = A22^+, for one matrix with
+    partition (n1, n - n1) or for each matrix of a stack of them."""
+    a12p = data[..., :n1, n1:] @ p
+    out = np.empty(data.shape, dtype=np.result_type(data, p))
+    out[..., :n1, :n1] = data[..., :n1, :n1] - a12p @ data[..., n1:, :n1]
+    out[..., :n1, n1:] = a12p
+    out[..., n1:, :n1] = -p @ data[..., n1:, :n1]
+    out[..., n1:, n1:] = p
+    return out
+
+
+def _gppt_stack(data: np.ndarray, n1: int, tol: ToleranceConfig) -> np.ndarray:
+    """``gppt(...).data`` of each matrix of a validated ``(k, n, n)`` stack
+    with partition (n1, n - n1), from one stacked SVD of the pivot blocks."""
+    return _gppt_formula(data, n1, _pinv_stack(data[:, n1:, n1:], tol))
+
+
 def gppt(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:
     """Generalized principal pivot transform on the (2,2) block.
 
     Blocks: [[A/A22, A12 A22^+], [-A22^+ A21, A22^+]].  Defined for every
     partitioned matrix; an involution when A22 is invertible.
     """
-    p = pinv(a.a22, tol)
-    return BlockMatrix.from_blocks(
-        a.n1,
-        a.n2,
-        a.a11 - a.a12 @ p @ a.a21,
-        a.a12 @ p,
-        -p @ a.a21,
-        p,
-    )
+    return BlockMatrix(a.n1, a.n2, _gppt_formula(a.data, a.n1, pinv(a.a22, tol)))
 
 
 def jppt(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:

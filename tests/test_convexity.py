@@ -126,29 +126,73 @@ def test_precondition_rejections():
 
 
 def test_segment_gaps_equal_public_gaps():
-    # the suite's once-checked segments and the one-shot public functions
-    # give the same bits and verdicts
+    # the suite's once-checked segments, each gap kind over a whole vector of
+    # t, and the one-t public functions give the same bits and verdicts
     rng = Xoshiro256pp(778)
-    ts = [i / 10.0 for i in range(11)]
     for k in range(12):
         fld = ("real", "complex")[k % 2]
         a, b = rand_psd_pair_same_kernel(
-            GenSpec(1 + rng.randint(3), 1 + rng.randint(3), fld, rng.next_uint64())
+            GenSpec(rng.randint(4), 1 + rng.randint(3), fld, rng.next_uint64())
         )
+        ts = [i / 10.0 for i in range(11)] + list(rng.uniform(3, 0.0, 1.0))
         ea, eb = bordered_embedding(a.a22, b.a22)
         segment = _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL)
         pivots = _ConcavitySegment.of_matrices(a.a22, b.a22, DEFAULT_TOL)
-        bordered = _ConcavitySegment.of_blocks(ea, eb, DEFAULT_TOL)
-        for t in ts:
-            for seg_gap, public_gap in (
-                (segment.jppt_gap(t), jppt_concavity_gap(a, b, t)),
-                (segment.schur_gap(t), schur_concavity_gap(a, b, t)),
-                (pivots.pinv_gap(t), pinv_convexity_gap(a.a22, b.a22, t)),
-                (bordered.jppt_gap(t), jppt_concavity_gap(ea, eb, t)),
-            ):
+        stacked = (
+            segment.jppt_gaps(ts),
+            segment.schur_gaps(ts),
+            pivots.pinv_gaps(ts),
+            pivots.bordered().jppt_gaps(ts),
+        )
+        assert all(len(gaps) == len(ts) for gaps in stacked)
+        for t, *seg_gaps in zip(ts, *stacked):
+            public_gaps = (
+                jppt_concavity_gap(a, b, t),
+                schur_concavity_gap(a, b, t),
+                pinv_convexity_gap(a.a22, b.a22, t),
+                jppt_concavity_gap(ea, eb, t),
+            )
+            for seg_gap, public_gap in zip(seg_gaps, public_gaps):
                 assert seg_gap.gap.dtype == public_gap.gap.dtype
                 assert np.array_equal(seg_gap.gap, public_gap.gap)
                 assert seg_gap.psd == public_gap.psd
+
+
+def test_segment_checks_every_t_before_factoring(monkeypatch):
+    rng = Xoshiro256pp(779)
+    a, b = rand_psd_pair_same_kernel(GenSpec(2, 2, "complex", rng.next_uint64()))
+    segment = _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL)
+    pivots = _ConcavitySegment.of_matrices(a.a22, b.a22, DEFAULT_TOL)
+    bordered = pivots.bordered()
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("factored before every t was checked")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for bad in (-0.1, 1.5, float("nan")):
+        for pos in (0, 3, 6):
+            ts = [0.25] * 7
+            ts[pos] = bad
+            for gaps in (segment.jppt_gaps, segment.schur_gaps, pivots.pinv_gaps, bordered.jppt_gaps):
+                with pytest.raises(InvalidInputError):
+                    gaps(ts)
+
+
+def test_non_finite_gaps_are_rejected():
+    # a subnormal pivot has an infinite pseudoinverse, so the gaps are not finite
+    tiny = np.array([[5e-324]])
+    a = BlockMatrix(1, 1, np.diag([1.0, 5e-324]))
+    pivots = _ConcavitySegment.of_matrices(tiny, tiny, DEFAULT_TOL)
+    segment = _ConcavitySegment.of_blocks(a, a, DEFAULT_TOL)
+    with np.errstate(all="ignore"):
+        for gaps in (
+            lambda: pinv_convexity_gap(tiny, tiny, 0.5),
+            lambda: pivots.pinv_gaps([0.25, 0.5]),
+            lambda: jppt_concavity_gap(a, a, 0.5),
+            lambda: segment.jppt_gaps([0.25, 0.5]),
+        ):
+            with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
+                gaps()
 
 
 def test_gaps_decompose_each_pair_once(monkeypatch):
@@ -168,14 +212,15 @@ def test_gaps_decompose_each_pair_once(monkeypatch):
         fn(*args)
         return counts["svd"], counts["eigvalsh"]
 
-    # 14 values of t, each transforming the mix and deciding four gaps (4 SVDs,
-    # 4 eigvalsh), plus per trial the generator (2 SVDs), three pair checks
-    # (2 SVDs, 2 eigvalsh each) and eight endpoint transforms; the per-t
-    # gap calls this replaced ran 282 SVDs and 168 eigvalsh
+    # per trial: the generator (2 SVDs), two pair checks (2 SVDs, 2 eigvalsh
+    # each), and per gap kind one stacked SVD and one stacked eigvalsh over
+    # the endpoints and all 14 values of t; the bordered pair is not checked
+    # again.  Per-t segment calls ran 72 SVDs and 62 eigvalsh, and per-t
+    # public gap calls 282 and 168.
     svds, eigs = run(_concavity_trial, 12345, DEFAULT_TOL)
-    assert svds <= 72 and eigs <= 62
-    # a one-shot call checks the pair (2 kernel SVDs) and transforms three
-    # matrices (3 SVDs), as before the segment: 5 SVDs each
+    assert svds <= 10 and eigs <= 8
+    # a one-shot call checks the pair (2 kernel SVDs) and transforms a stack
+    # of three matrices (1 SVD); it ran 5 SVDs before the stacked segment
     rng = Xoshiro256pp(4343)
     for fld in ("real", "complex"):
         a, b = rand_psd_pair_same_kernel(GenSpec(2, 3, fld, rng.next_uint64()))

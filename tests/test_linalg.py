@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blockpivot import (
+    DEFAULT_TOL,
     InvalidInputError,
     PreconditionError,
     ToleranceConfig,
@@ -26,7 +27,7 @@ from blockpivot import (
     subspace_eq,
     subspace_leq,
 )
-from blockpivot.linalg import as_matrix, as_vector
+from blockpivot.linalg import _pinv_stack, as_matrix, as_vector
 from blockpivot.rng import Xoshiro256pp
 
 
@@ -102,6 +103,25 @@ def test_pinv_empty_shapes():
     assert pinv(np.zeros((0, 3))).shape == (3, 0)
     assert pinv(np.zeros((3, 0))).shape == (0, 3)
     assert pinv(np.zeros((0, 0))).shape == (0, 0)
+
+
+def test_pinv_stack_equals_pinv_of_each_matrix():
+    # one stacked SVD with the zero test row by row: the same bits as pinv of
+    # each matrix, whatever mix of ranks (0 included) the stack holds
+    rng = Xoshiro256pp(6061)
+    for rows, cols in ((3, 3), (2, 4), (4, 1), (0, 0), (0, 3), (3, 0)):
+        for cplx in (False, True):
+            mats = []
+            for i in range(10):
+                r = i % (min(rows, cols) + 1)
+                m = _rand(rng, rows, r, cplx) @ _rand(rng, r, cols, cplx)
+                mats.append(m * 10.0 ** rng.randint(7) if i % 3 else m)
+            stacked = _pinv_stack(np.stack(mats), DEFAULT_TOL)
+            assert stacked.shape == (10, cols, rows)
+            for m, p in zip(mats, stacked):
+                expected = pinv(m)
+                assert p.dtype == expected.dtype
+                assert np.array_equal(p, expected), (rows, cols, cplx, rank(m))
 
 
 def test_rank_values():

@@ -14,8 +14,10 @@ from blockpivot import (
     block_diagonalize,
     det_sign_path_check,
     ep_congruence_schur,
+    gppt,
     hermitian_part,
     inertia,
+    jppt,
     jppt_im_congruence,
     loewner_leq,
     max_abs,
@@ -295,6 +297,9 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
         a, b = rand_ordered_pair(spec, "constant_rank")
         for fn, limit in limits:
             assert svd_count(fn, a, b) <= limit, fn.__name__
+        # the transforms factor their pivot block once
+        for fn, arg in ((pinv, a.a22), (gppt, a), (jppt, a)):
+            assert svd_count(fn, arg) == 1, fn.__name__
         # the grid oracles take eigenvalues only
         for fn in (rank_path_sampled, det_sign_path_check):
             assert svd_count(fn, a.a22, b.a22) == 0, fn.__name__

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockpivot import (
+    DEFAULT_TOL,
     BlockMatrix,
     GenSpec,
     InclusionError,
@@ -25,6 +26,7 @@ from blockpivot import (
     signature_matrix,
 )
 from blockpivot.rng import Xoshiro256pp
+from blockpivot.transforms import _gppt_stack
 
 
 def test_signature_matrix():
@@ -93,6 +95,25 @@ def test_jppt_is_signature_times_gppt():
         assert np.array_equal(jppt(a).data, signature_matrix(n1, n2) @ g.data)
         assert np.array_equal(g.a11, schur_complement(a))
         assert np.array_equal(g.a22, pinv(a.a22))
+
+
+def test_gppt_stack_equals_gppt_of_each_matrix():
+    # one stacked SVD of the pivot blocks, the gppt formula over the stack:
+    # the same bits as gppt of each matrix, for pivots of mixed rank
+    rng = Xoshiro256pp(4077)
+    for n1, n2 in ((2, 3), (1, 1), (0, 3), (3, 0), (0, 0)):
+        for fld in ("real", "complex"):
+            mats = []
+            for i in range(10):
+                m = rand_matrix(n1 + n2, n1 + n2, fld, rng.next_uint64())
+                r = i % (n2 + 1)
+                m[n1:, n1:] = rand_matrix(n2, r, fld, rng.next_uint64()) @ rand_matrix(r, n2, fld, rng.next_uint64())
+                mats.append(m)
+            stacked = _gppt_stack(np.stack(mats), n1, DEFAULT_TOL)
+            for m, g in zip(mats, stacked):
+                expected = gppt(BlockMatrix(n1, n2, m)).data
+                assert g.dtype == expected.dtype
+                assert np.array_equal(g, expected), (n1, n2, fld)
 
 
 def test_gppt_involution():
