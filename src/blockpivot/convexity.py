@@ -26,11 +26,11 @@ import numpy as np
 from .blockmat import BlockMatrix, check_hermitian_block_pair
 from .errors import InvalidInputError, PreconditionError
 from .linalg import (
+    _loewner_leq,
     _pinv_stack,
     check_hermitian_pair,
     check_square_pair,
     kernel_basis,
-    loewner_leq,
     subspace_eq,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -58,11 +58,16 @@ def _check_t(t: float) -> float:
     return t
 
 
+def _check_psd(c: np.ndarray, d: np.ndarray, tol: ToleranceConfig) -> None:
+    """Require the validated Hermitian arrays C and D to be PSD."""
+    for name, m in (("first", c), ("second", d)):
+        if not _loewner_leq(np.zeros_like(m), m, tol):
+            raise PreconditionError(f"the {name} matrix must be positive semidefinite")
+
+
 def _check_psd_equal_kernels(c, d, kc, kd, what: str, tol: ToleranceConfig) -> None:
     """Require C and D PSD, and equal kernels of KC and KD (named ``what``)."""
-    for name, m in (("first", c), ("second", d)):
-        if not loewner_leq(np.zeros_like(m), m, tol):
-            raise PreconditionError(f"the {name} matrix must be positive semidefinite")
+    _check_psd(c, d, tol)
     if not subspace_eq(kernel_basis(kc, tol), kernel_basis(kd, tol), tol):
         raise PreconditionError(f"{what} must have equal kernels")
 
@@ -102,17 +107,21 @@ class _ConcavitySegment:
 
     Build it with ``of_blocks`` (block pair: jppt and Schur gaps) or
     ``of_matrices`` (plain pair: pinv gap, and ``bordered`` for the
-    embedded pair); each checks the pair once.  A gap method takes a
+    embedded pair); each checks the pair once, and ``pivots`` gives the
+    plain segment of a block segment's pivot blocks.  A gap method takes a
     sequence of t, checks every t first, then transforms the stack
-    [X, Y, mix(t_1), ...] with the stacked form of ``jppt``,
-    ``schur_complement`` or ``pinv`` (one SVD) and returns one GapResult
-    per t, equal to the public one-t function's.
+    [X, Y, mix(t_1), ...] with the stacked form of ``gppt`` or ``pinv``
+    (one SVD) and returns one GapResult per t, equal to the public one-t
+    function's.  The jppt and Schur gaps of one vector of t share one gppt
+    stack: the Schur gaps are its (1,1) blocks, and the jppt gaps are J
+    times it.
     """
 
     def __init__(self, x, y, tol: ToleranceConfig):
         self._x = x
         self._y = y
         self._tol = tol
+        self._gppt = (None, None)  # (weights, gppt stack) of the last block gaps
 
     @classmethod
     def of_blocks(cls, a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig) -> "_ConcavitySegment":
@@ -125,6 +134,16 @@ class _ConcavitySegment:
         _check_psd_equal_kernels(ca, da, ca, da, "the matrices", tol)
         return cls(ca, da, tol)
 
+    def pivots(self) -> "_ConcavitySegment":
+        """The plain segment of a block segment's pivot blocks.
+
+        It checks them as ``of_matrices`` does, except for the equal
+        kernels, which the block pair's check compared on the same arrays.
+        """
+        ca, da = check_hermitian_pair(self._x.a22, self._y.a22, self._tol)
+        _check_psd(ca, da, self._tol)
+        return _ConcavitySegment(ca, da, self._tol)
+
     def bordered(self) -> "_ConcavitySegment":
         """The block segment of the bordered embedding of a plain pair.
 
@@ -133,25 +152,31 @@ class _ConcavitySegment:
         """
         return _ConcavitySegment(*bordered_embedding(self._x, self._y), self._tol)
 
-    def _transformed(self, w: np.ndarray, transform) -> tuple[np.ndarray, np.ndarray]:
-        """Apply ``transform`` to the stack [X, Y, mixes]; return its mixes'
-        part and, at each t, the combination of its endpoints' parts."""
-        x, y = self._x.data, self._y.data
-        out = transform(np.concatenate([x[None], y[None], (1.0 - w) * x + w * y]))
-        return out[2:], (1.0 - w) * out[0] + w * out[1]
+    def _transformed(self, w: np.ndarray) -> np.ndarray:
+        """gppt of the block stack [X, Y, mixes], kept for the next call with
+        the same weights."""
+        kept_w, kept = self._gppt
+        if kept_w is None or not np.array_equal(kept_w, w):
+            x, y = self._x.data, self._y.data
+            stack = np.concatenate([x[None], y[None], (1.0 - w) * x + w * y])
+            kept = _gppt_stack(stack, self._x.n1, self._tol)
+            self._gppt = (w, kept)
+        return kept
+
+    def _block_gaps(self, w: np.ndarray, out: np.ndarray) -> list[GapResult]:
+        """Gaps from a transformed stack [X, Y, mixes]: at each t, the mix's
+        part minus the combination of the endpoints' parts."""
+        return _psd_verdicts(out[2:] - ((1.0 - w) * out[0] + w * out[1]), self._tol)
 
     def jppt_gaps(self, ts) -> list[GapResult]:
         w = _weights(ts)
-        n1, n2 = self._x.n1, self._x.n2
-        j = signature_matrix(n1, n2)
-        mixed, ends = self._transformed(w, lambda m: j @ _gppt_stack(m, n1, self._tol))
-        return _psd_verdicts(mixed - ends, self._tol)
+        j = signature_matrix(self._x.n1, self._x.n2)
+        return self._block_gaps(w, j @ self._transformed(w))
 
     def schur_gaps(self, ts) -> list[GapResult]:
         w = _weights(ts)
         n1 = self._x.n1
-        mixed, ends = self._transformed(w, lambda m: _gppt_stack(m, n1, self._tol)[:, :n1, :n1])
-        return _psd_verdicts(mixed - ends, self._tol)
+        return self._block_gaps(w, self._transformed(w)[:, :n1, :n1])
 
     def pinv_gaps(self, ts) -> list[GapResult]:
         w = _weights(ts)

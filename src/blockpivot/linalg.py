@@ -11,6 +11,15 @@ inertia and the Hermitian eigen-split all apply it, so criteria built on
 The pseudoinverse of a ``(k, m, n)`` stack (``_pinv_stack``) comes from one
 stacked SVD and applies the same zero test row by row, to each matrix's
 own singular values; it equals ``pinv`` of each matrix bit for bit.
+
+Each public function validates its inputs.  Two private twins skip that
+for callers that hold arrays already validated: ``_hermitian`` is
+``hermitian_part`` of a finite square array, and ``_loewner_leq`` is
+``loewner_leq`` of two finite Hermitian arrays of equal shape.  The
+callers guarantee that contract, which the twins do not check; they do
+the same arithmetic as the public functions, so their results are the
+same bits.  (``_loewner_leq`` checks only that the difference is finite,
+which costs one pass, so that operands which overflowed still raise.)
 """
 
 from __future__ import annotations
@@ -117,6 +126,11 @@ def hermitian_part(m) -> np.ndarray:
     arr = as_matrix(m)
     if arr.shape[0] != arr.shape[1]:
         raise InvalidInputError(f"hermitian part needs a square matrix, got {arr.shape}")
+    return _hermitian(arr)
+
+
+def _hermitian(arr: np.ndarray) -> np.ndarray:
+    """``hermitian_part`` of a validated square array, unchecked."""
     return (arr + adjoint(arr)) / 2.0
 
 
@@ -232,7 +246,7 @@ def _herm_split(h: np.ndarray, tol: ToleranceConfig):
     eigenvalues belong to the support basis columns, so their count is
     the rank.
     """
-    w, v = np.linalg.eigh(hermitian_part(h))
+    w, v = np.linalg.eigh(_hermitian(h))
     nz = _nonzero(w, tol)
     return v[:, ~nz], v[:, nz], w[nz]
 
@@ -242,7 +256,7 @@ def inertia(h, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     arr = as_matrix(h)
     if not is_hermitian(arr, tol):
         raise PreconditionError("inertia needs a Hermitian matrix")
-    w = np.linalg.eigvalsh(hermitian_part(arr))
+    w = np.linalg.eigvalsh(_hermitian(arr))
     w = w[_nonzero(w, tol)]
     n_pos = int(np.sum(w > 0.0))
     return Inertia(n_pos, w.size - n_pos, arr.shape[0] - w.size)
@@ -284,16 +298,34 @@ def subspace_eq(s1: SubspaceBasis, s2: SubspaceBasis, tol: ToleranceConfig = DEF
 
 def loewner_leq(h1, h2, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether H1 <= H2 in the semidefinite order, within psd_tol."""
+    a1, a2 = _order_operands(h1, h2, tol)
+    return _loewner_leq(a1, a2, tol)
+
+
+def _order_operands(h1, h2, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     a1 = as_matrix(h1, "h1")
     a2 = as_matrix(h2, "h2")
     if a1.shape != a2.shape:
         raise PreconditionError(f"dimension mismatch: {a1.shape} vs {a2.shape}")
     if not is_hermitian(a1, tol) or not is_hermitian(a2, tol):
         raise PreconditionError("ordering is defined for Hermitian matrices only")
+    return a1, a2
+
+
+def _loewner_leq(a1: np.ndarray, a2: np.ndarray, tol: ToleranceConfig) -> bool:
+    """``loewner_leq`` of validated Hermitian arrays of equal shape, unchecked.
+
+    An operand computed from validated arrays can still overflow; then
+    the difference is not finite, and the checks raise ``loewner_leq``'s
+    error.
+    """
     if a1.shape[0] == 0:
         return True
-    diff = hermitian_part(a2.astype(np.result_type(a1, a2)) - a1)
-    w_min = float(np.linalg.eigvalsh(diff)[0])
+    diff = a2.astype(np.result_type(a1, a2)) - a1
+    if not np.isfinite(diff).all():
+        _order_operands(a1, a2, tol)
+        as_matrix(diff)
+    w_min = float(np.linalg.eigvalsh(_hermitian(diff))[0])
     return w_min >= -tol.psd_tol
 
 

@@ -14,6 +14,13 @@ pseudoinverses read off ``gppt`` use, so the three criteria call the same
 pivot eigenvalues zero.  ``psd_tol`` is the slack of the semidefinite
 order only.
 
+Each public order function checks its pair once and reads its verdict
+off a private order pair, which factors each operand once: one gppt per
+operand, one eigen-split per pivot block and one eigvalsh of the pivot
+difference D - C, which decides both C <= D and the grid oracles'
+precondition.  The monotonicity suite reads all of its verdicts off one
+pair, so each of its pairs is checked and factored once.
+
 Grid oracles are provided as independent cross-checks of the
 deterministic verdicts.  They require C <= D or D <= C, certified by one
 eigvalsh of D - C (PreconditionError otherwise), so every sorted
@@ -27,6 +34,7 @@ grid cross-checks the code path and the rounding, not the theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +43,8 @@ from .errors import InvalidInputError, PreconditionError
 from .linalg import (
     SubspaceBasis,
     _herm_split,
+    _hermitian,
+    _loewner_leq,
     _nonzero,
     adjoint,
     check_hermitian_pair,
@@ -80,18 +90,10 @@ def _segment_spectra(ca: np.ndarray, da: np.ndarray, tol: ToleranceConfig, point
     if points < 1:
         raise InvalidInputError(f"points must be at least 1, got {points}")
     ts = np.linspace(0.0, 1.0, points)
-    stack = (1.0 - ts)[:, None, None] * hermitian_part(ca) + ts[:, None, None] * hermitian_part(da)
+    stack = (1.0 - ts)[:, None, None] * _hermitian(ca) + ts[:, None, None] * _hermitian(da)
     w = np.linalg.eigvalsh(stack)
     nz = _nonzero(w, tol)
     return ts, w, nz.sum(axis=1), nz
-
-
-def _require_semidefinite_step(ca: np.ndarray, da: np.ndarray, tol: ToleranceConfig) -> None:
-    """The grid oracles' precondition: D - C is PSD or NSD within psd_tol,
-    so every sorted eigenvalue of the segment is monotone in t."""
-    w = np.linalg.eigvalsh(hermitian_part(da - ca))
-    if w.size and w[0] < -tol.psd_tol and w[-1] > tol.psd_tol:
-        raise PreconditionError("the grid oracles require C <= D or D <= C")
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +207,188 @@ class SchurDifferenceResult:
 
 
 # ---------------------------------------------------------------------------
+# The order pair
+
+
+class _OrderPair:
+    """A Hermitian pair, checked once, whose order verdicts share their
+    factorizations.
+
+    Build it with ``of_blocks`` (a block pair A, B; the pivot routines
+    work on C = A22 and D = B22) or ``of_pivots`` (a plain pair C, D).  On
+    first use it keeps gppt of each operand (one SVD each), the eigen-split
+    of C and of D (one eigh each) and the eigenvalues of D - C (one
+    eigvalsh), which decide both C <= D and the grid oracles'
+    precondition.  Each public order function checks its inputs and
+    reads one verdict off a new pair; the monotonicity suite reads all of
+    its verdicts off one pair.
+    """
+
+    def __init__(
+        self, a, b, c: np.ndarray, d: np.ndarray, tol: ToleranceConfig, pivots_checked: bool
+    ):
+        self._a = a
+        self._b = b
+        self._c = c
+        self._d = d
+        self._tol = tol
+        self._pivots_checked = pivots_checked
+
+    @classmethod
+    def of_blocks(cls, a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig) -> "_OrderPair":
+        check_hermitian_block_pair(a, b, tol)
+        return cls(a, b, a.a22, b.a22, tol, False)
+
+    @classmethod
+    def of_pivots(cls, c, d, tol: ToleranceConfig) -> "_OrderPair":
+        ca, da = check_hermitian_pair(c, d, tol)
+        return cls(None, None, ca, da, tol, True)
+
+    def _check_pivots(self) -> None:
+        """The pivot routines need C and D Hermitian relative to their own
+        scale, which a Hermitian block pair does not imply; a block pair
+        checks its pivots when a pivot routine first asks."""
+        if not self._pivots_checked:
+            check_hermitian_pair(self._c, self._d, self._tol)
+            self._pivots_checked = True
+
+    @cached_property
+    def transforms(self) -> tuple[BlockMatrix, BlockMatrix]:
+        return gppt(self._a, self._tol), gppt(self._b, self._tol)
+
+    @cached_property
+    def splits(self):
+        """The eigen-splits (kernel, support, nonzero eigenvalues) of C and D."""
+        return _herm_split(self._c, self._tol), _herm_split(self._d, self._tol)
+
+    @cached_property
+    def kernels_equal(self) -> bool:
+        (ker_c, _, _), (ker_d, _, _) = self.splits
+        m = self._c.shape[0]
+        return subspace_eq(SubspaceBasis(m, ker_c), SubspaceBasis(m, ker_d), self._tol)
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        """Sorted eigenvalues of D - C, formed as ``loewner_leq(C, D)`` forms it."""
+        return np.linalg.eigvalsh(hermitian_part(self._d - self._c))
+
+    def _pivots_ordered(self) -> bool:
+        """C <= D within psd_tol."""
+        return self._c.shape[0] == 0 or float(self.step[0]) >= -self._tol.psd_tol
+
+    def _require_semidefinite_step(self) -> None:
+        """The grid oracles' precondition: D - C is PSD or NSD within psd_tol,
+        so every sorted eigenvalue of the segment is monotone in t."""
+        w, slack = self.step, self._tol.psd_tol
+        if w.size and w[0] < -slack and w[-1] > slack:
+            raise PreconditionError("the grid oracles require C <= D or D <= C")
+
+    @cached_property
+    def pinv_reversed(self) -> bool:
+        """B22^+ <= A22^+, read off the two transforms."""
+        ga, gb = self.transforms
+        return _loewner_leq(_hermitian(gb.a22), _hermitian(ga.a22), self._tol)
+
+    @cached_property
+    def difference(self):
+        """Terms shared by the order conditions and the difference identity.
+
+        (dp = A22^+ - B22^+, dp^+, g = B12 B22^+ - A12 A22^+,
+        gr = B22^+ B21 - A22^+ A21, B/B22 - A/A22).  gppt's (2,1) block is
+        -A22^+ A21, hence the sign of gr's terms.
+        """
+        ga, gb = self.transforms
+        dp = hermitian_part(ga.a22 - gb.a22)
+        return dp, pinv(dp, self._tol), gb.a12 - ga.a12, ga.a21 - gb.a21, gb.a11 - ga.a11
+
+    def report(self) -> MonotonicityReport:
+        a, b, tol = self._a, self._b, self._tol
+        hypothesis_ok = _loewner_leq(a.data, b.data, tol)
+        # gppt's blocks are A/A22 and A22^+, and J gppt(A) is jppt(A).
+        ga, gb = self.transforms
+        j = signature_matrix(a.n1, a.n2)
+        ppt_ordered = _loewner_leq(_hermitian(j @ ga.data), _hermitian(j @ gb.data), tol)
+        pinv_reversed = self.pinv_reversed
+        path = self.rank_path(require_order=False)
+        schur_ordered = _loewner_leq(_hermitian(ga.a11), _hermitian(gb.a11), tol)
+        agree = ppt_ordered == pinv_reversed == path.constant
+        consistent = agree and ((not ppt_ordered) or schur_ordered)
+        return MonotonicityReport(
+            hypothesis_ok, ppt_ordered, pinv_reversed, path, schur_ordered, consistent
+        )
+
+    def order_conditions(self) -> OrderConditions:
+        dp, dp_pinv, g, gr, schur_diff = self.difference
+        pinv_leq = self.pinv_reversed
+        ker_resid = max_abs(g - g @ dp_pinv @ dp)
+        ker_incl = ker_resid <= self._tol.scaled_eq_tol(g, dp)
+        s = hermitian_part(schur_diff - g @ dp_pinv @ gr)
+        residual_psd = _loewner_leq(np.zeros_like(s), s, self._tol)
+        return OrderConditions(
+            pinv_leq, ker_incl, residual_psd, pinv_leq and ker_incl and residual_psd
+        )
+
+    def pinv_monotone(self) -> PinvMonotoneResult:
+        self._check_pivots()
+        if not self._pivots_ordered():
+            raise PreconditionError("requires C <= D in the semidefinite order")
+        (_, _, w_c), (_, _, w_d) = self.splits
+        ker_equal = self.kernels_equal
+        inertia_equal = bool(np.sum(w_c < 0.0) == np.sum(w_d < 0.0))
+        return PinvMonotoneResult(ker_equal and inertia_equal, ker_equal, inertia_equal)
+
+    def rank_path(self, require_order: bool) -> RankPathReport:
+        self._check_pivots()
+        if require_order and not self._pivots_ordered():
+            raise PreconditionError("rank path analysis requires C <= D")
+        c, d, tol = self._c, self._d, self._tol
+        m = c.shape[0]
+        if m == 0:
+            return RankPathReport(True, 0, None, "spectral", (0, 0))
+        (ker_c, _, _), (ker_d, supp_d, _) = self.splits
+        r0 = m - ker_c.shape[1]
+        r1 = m - ker_d.shape[1]
+        if not self.kernels_equal:
+            if r0 != r1:
+                witness = 0.0 if r0 < r1 else 1.0
+            else:
+                ts, _, ranks, _ = _segment_spectra(c, d, tol, 101)
+                off = np.flatnonzero(ranks[1:-1] != r0)
+                witness = float(ts[1 + off[0]]) if off.size else 0.5
+            return RankPathReport(False, None, witness, "kernel_inertia", (r0, r1))
+        cr = hermitian_part(adjoint(supp_d) @ c @ supp_d)
+        dr = hermitian_part(adjoint(supp_d) @ d @ supp_d)
+        spect = spectral_path_check(cr, dr, tol)
+        if spect.no_crossing:
+            return RankPathReport(True, r0, None, "spectral", (r0, r1))
+        # (1-t)C + tD = D((1-t)D^-1 C + tI) is singular at t = lam/(lam-1),
+        # which decreases in lam, so the largest crossing lam gives the first t
+        lam = max((z.real for z in spect.eigvals if z.real <= 0.0), default=0.0)
+        witness = max(0.0, lam / (lam - 1.0))
+        return RankPathReport(False, None, witness, "spectral", (r0, r1))
+
+    def rank_path_sampled(self, points: int = 101) -> RankPathReport:
+        self._check_pivots()
+        self._require_semidefinite_step()
+        ts, w, ranks, nz = _segment_spectra(self._c, self._d, self._tol, points)
+        endpoint = (int(ranks[0]), int(ranks[-1]))
+        r_max = int(ranks.max())
+        signs = np.sign(w) * nz
+        flipped = np.any(signs[:-1] * signs[1:] < 0.0, axis=1)
+        bad = np.flatnonzero((ranks < r_max) | np.concatenate(([False], flipped)))
+        if bad.size:
+            return RankPathReport(False, None, float(ts[bad[0]]), "sampled", endpoint)
+        return RankPathReport(True, r_max, None, "sampled", endpoint)
+
+    def det_sign_path(self, points: int = 101) -> bool:
+        self._check_pivots()
+        self._require_semidefinite_step()
+        _, w, ranks, _ = _segment_spectra(self._c, self._d, self._tol, points)
+        negatives = np.sum(w < 0.0, axis=1)
+        return bool(np.all(ranks == self._c.shape[0]) and np.all(negatives == negatives[0]))
+
+
+# ---------------------------------------------------------------------------
 # Operations
 
 
@@ -232,15 +416,7 @@ def pinv_monotone(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> PinvMonotoneResul
     For C <= D, D^+ <= C^+ holds exactly when ker C = ker D and the
     negative eigenvalue counts agree.
     """
-    ca, da = check_hermitian_pair(c, d, tol)
-    if not loewner_leq(ca, da, tol):
-        raise PreconditionError("requires C <= D in the semidefinite order")
-    ker_c, _, w_c = _herm_split(ca, tol)
-    ker_d, _, w_d = _herm_split(da, tol)
-    m = ca.shape[0]
-    ker_equal = subspace_eq(SubspaceBasis(m, ker_c), SubspaceBasis(m, ker_d), tol)
-    inertia_equal = bool(np.sum(w_c < 0.0) == np.sum(w_d < 0.0))
-    return PinvMonotoneResult(ker_equal and inertia_equal, ker_equal, inertia_equal)
+    return _OrderPair.of_pivots(c, d, tol).pinv_monotone()
 
 
 def spectral_path_check(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralPathResult:
@@ -256,11 +432,11 @@ def spectral_path_check(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralPat
     m = ca.shape[0]
     if m == 0:
         return SpectralPathResult(True, True, ())
-    if not _nonzero(np.linalg.eigvalsh(hermitian_part(da)), tol).all():
+    if not _nonzero(np.linalg.eigvalsh(_hermitian(da)), tol).all():
         raise PreconditionError("D must be invertible for the spectral path test")
     eig = np.linalg.eigvals(np.linalg.solve(da, ca))
     real_spectrum = float(np.max(np.abs(eig.imag))) <= tol.eq_tol
-    c_nonsingular = _nonzero(np.linalg.eigvalsh(hermitian_part(ca)), tol).all()
+    c_nonsingular = _nonzero(np.linalg.eigvalsh(_hermitian(ca)), tol).all()
     no_crossing = bool(c_nonsingular and np.all(eig.real > 0.0))
     return SpectralPathResult(no_crossing, real_spectrum, tuple(eig.tolist()))
 
@@ -287,35 +463,7 @@ def rank_path_constant(
     ``require_order=False`` skips the C <= D precondition so the verdict
     can be used diagnostically.
     """
-    ca, da = check_hermitian_pair(c, d, tol)
-    if require_order and not loewner_leq(ca, da, tol):
-        raise PreconditionError("rank path analysis requires C <= D")
-    m = ca.shape[0]
-    if m == 0:
-        return RankPathReport(True, 0, None, "spectral", (0, 0))
-    ker_c, _, _ = _herm_split(ca, tol)
-    ker_d, supp_d, _ = _herm_split(da, tol)
-    r0 = m - ker_c.shape[1]
-    r1 = m - ker_d.shape[1]
-    kernels_equal = subspace_eq(SubspaceBasis(m, ker_c), SubspaceBasis(m, ker_d), tol)
-    if not kernels_equal:
-        if r0 != r1:
-            witness = 0.0 if r0 < r1 else 1.0
-        else:
-            ts, _, ranks, _ = _segment_spectra(ca, da, tol, 101)
-            off = np.flatnonzero(ranks[1:-1] != r0)
-            witness = float(ts[1 + off[0]]) if off.size else 0.5
-        return RankPathReport(False, None, witness, "kernel_inertia", (r0, r1))
-    cr = hermitian_part(adjoint(supp_d) @ ca @ supp_d)
-    dr = hermitian_part(adjoint(supp_d) @ da @ supp_d)
-    spect = spectral_path_check(cr, dr, tol)
-    if spect.no_crossing:
-        return RankPathReport(True, r0, None, "spectral", (r0, r1))
-    # (1-t)C + tD = D((1-t)D^-1 C + tI) is singular at t = lam/(lam-1),
-    # which decreases in lam, so the largest crossing lam gives the first t
-    lam = max((z.real for z in spect.eigvals if z.real <= 0.0), default=0.0)
-    witness = max(0.0, lam / (lam - 1.0))
-    return RankPathReport(False, None, witness, "spectral", (r0, r1))
+    return _OrderPair.of_pivots(c, d, tol).rank_path(require_order)
 
 
 def rank_path_sampled(
@@ -338,17 +486,7 @@ def rank_path_sampled(
     their own, so the grid cross-checks the code path and the rounding,
     not the theorem.
     """
-    ca, da = check_hermitian_pair(c, d, tol)
-    _require_semidefinite_step(ca, da, tol)
-    ts, w, ranks, nz = _segment_spectra(ca, da, tol, points)
-    endpoint = (int(ranks[0]), int(ranks[-1]))
-    r_max = int(ranks.max())
-    signs = np.sign(w) * nz
-    flipped = np.any(signs[:-1] * signs[1:] < 0.0, axis=1)
-    bad = np.flatnonzero((ranks < r_max) | np.concatenate(([False], flipped)))
-    if bad.size:
-        return RankPathReport(False, None, float(ts[bad[0]]), "sampled", endpoint)
-    return RankPathReport(True, r_max, None, "sampled", endpoint)
+    return _OrderPair.of_pivots(c, d, tol).rank_path_sampled(points)
 
 
 def det_sign_path_check(
@@ -367,11 +505,7 @@ def det_sign_path_check(
     also sees two crossings inside one cell.  Returns True when no
     crossing is detected.
     """
-    ca, da = check_hermitian_pair(c, d, tol)
-    _require_semidefinite_step(ca, da, tol)
-    _, w, ranks, _ = _segment_spectra(ca, da, tol, points)
-    negatives = np.sum(w < 0.0, axis=1)
-    return bool(np.all(ranks == ca.shape[0]) and np.all(negatives == negatives[0]))
+    return _OrderPair.of_pivots(c, d, tol).det_sign_path(points)
 
 
 def ppt_monotonicity_report(
@@ -384,35 +518,7 @@ def ppt_monotonicity_report(
     (hypothesis_ok=False); the consistency verdict is computed from the
     same formula either way.
     """
-    check_hermitian_block_pair(a, b, tol)
-    hypothesis_ok = loewner_leq(a.data, b.data, tol)
-    # gppt's blocks are A/A22 and A22^+, and J gppt(A) is jppt(A).
-    ga, gb = gppt(a, tol), gppt(b, tol)
-    j = signature_matrix(a.n1, a.n2)
-    ppt_ordered = loewner_leq(hermitian_part(j @ ga.data), hermitian_part(j @ gb.data), tol)
-    pinv_reversed = loewner_leq(hermitian_part(gb.a22), hermitian_part(ga.a22), tol)
-    path = rank_path_constant(a.a22, b.a22, tol, require_order=False)
-    schur_ordered = loewner_leq(hermitian_part(ga.a11), hermitian_part(gb.a11), tol)
-    agree = ppt_ordered == pinv_reversed == path.constant
-    consistent = agree and ((not ppt_ordered) or schur_ordered)
-    return MonotonicityReport(
-        hypothesis_ok, ppt_ordered, pinv_reversed, path, schur_ordered, consistent
-    )
-
-
-def _pivot_difference(a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig):
-    """Terms shared by the order conditions and the difference identity.
-
-    From one gppt per operand: (A22^+, B22^+, dp = A22^+ - B22^+, dp^+,
-    g = B12 B22^+ - A12 A22^+, gr = B22^+ B21 - A22^+ A21, B/B22 - A/A22).
-    gppt's (2,1) block is -A22^+ A21, hence the sign of gr's terms.
-    """
-    ga, gb = gppt(a, tol), gppt(b, tol)
-    pa, pb = ga.a22, gb.a22
-    dp = hermitian_part(pa - pb)
-    g = gb.a12 - ga.a12
-    gr = ga.a21 - gb.a21
-    return pa, pb, dp, pinv(dp, tol), g, gr, gb.a11 - ga.a11
+    return _OrderPair.of_blocks(a, b, tol).report()
 
 
 def ppt_order_conditions(
@@ -425,16 +531,7 @@ def ppt_order_conditions(
     reverse order, a kernel inclusion ties the pseudoinverse drop to the
     coupling drop, and a corrected Schur-complement difference is PSD.
     """
-    check_hermitian_block_pair(a, b, tol)
-    pa, pb, dp, dp_pinv, g, gr, schur_diff = _pivot_difference(a, b, tol)
-    pinv_leq = loewner_leq(hermitian_part(pb), hermitian_part(pa), tol)
-    ker_resid = max_abs(g - g @ dp_pinv @ dp)
-    ker_incl = ker_resid <= tol.scaled_eq_tol(g, dp)
-    s = hermitian_part(schur_diff - g @ dp_pinv @ gr)
-    residual_psd = loewner_leq(np.zeros_like(s), s, tol)
-    return OrderConditions(
-        pinv_leq, ker_incl, residual_psd, pinv_leq and ker_incl and residual_psd
-    )
+    return _OrderPair.of_blocks(a, b, tol).order_conditions()
 
 
 def schur_difference_identity(
@@ -450,12 +547,11 @@ def schur_difference_identity(
     difference of Schur complements minus a correction term, in two
     algebraically equivalent forms whose residuals are reported.
     """
-    check_hermitian_block_pair(a, b, tol)
+    pair = _OrderPair.of_blocks(a, b, tol)
     a22, b22 = a.a22, b.a22
     # the pivots are Hermitian, so each support basis spans the range
-    ker_a, supp_a, _ = _herm_split(a22, tol)
-    ker_b, supp_b, _ = _herm_split(b22, tol)
-    if not subspace_eq(SubspaceBasis(a.n2, ker_a), SubspaceBasis(a.n2, ker_b), tol):
+    (_, supp_a, _), (_, supp_b, _) = pair.splits
+    if not pair.kernels_equal:
         raise PreconditionError("pivot blocks must have equal kernels")
     if not subspace_eq(SubspaceBasis(a.n2, supp_a), SubspaceBasis(a.n2, supp_b), tol):
         raise PreconditionError("pivot blocks must have equal ranges")
@@ -474,7 +570,7 @@ def schur_difference_identity(
         )
     diff = BlockMatrix(a.n1, a.n2, b.data - a.data)
     lhs = schur_complement(diff, tol)
-    _, _, dp, dp_pinv, g, gr, schur_diff = _pivot_difference(a, b, tol)
+    dp, dp_pinv, g, gr, schur_diff = pair.difference
     rhs = schur_diff - g @ dp_pinv @ gr
     mid_alt = a22 + a22 @ d22_pinv @ a22
     rhs_alt = schur_diff - g @ mid_alt @ gr

@@ -8,11 +8,17 @@ coupling to y2.  The saddle solver returns the full solution set of the
 mixed block system (x1, y2 given; y1, x2 sought), which exists without
 any semidefiniteness assumption when the range and kernel inclusions
 hold.
+
+Each public routine builds a private saddle instance that factors A once
+(the pseudoinverse of A22 and the kernel basis of A22) and certifies the
+minimization hypotheses once; the saddle suite asks one instance for its
+solution, its minimum and every objective value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from .linalg import (
     pinv,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .transforms import gppt, signature_matrix
+from .transforms import _gppt_formula, signature_matrix
 
 __all__ = [
     "AffineSet",
@@ -110,48 +116,140 @@ def _split_z(a: BlockMatrix, x1, y2) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _real_quadratic(m: np.ndarray, v: np.ndarray, tol: ToleranceConfig, what: str) -> float:
+    q = complex(np.vdot(v, m @ v))
+    if abs(q.imag) > tol.eq_tol * (1.0 + abs(q)):
+        raise PreconditionError(f"{what} is not real", certificate=abs(q.imag))
+    return q.real
+
+
+def _ppt_min_value(jg: np.ndarray, z: np.ndarray, tol: ToleranceConfig) -> float:
+    """(1/2)(z, jppt(A) z), given jg = jppt(A) of a certified A."""
+    return 0.5 * _real_quadratic(jg, z, tol, "the pivot-transform quadratic form")
+
+
+class _SaddleInstance:
+    """A partitioned matrix A factored once for the variational routines.
+
+    On first use it keeps A22^+ (one SVD), gppt(A) built from it, and the
+    kernel basis of A22 (one SVD), and it certifies the minimization
+    hypotheses once.  The public routines build one instance per call and
+    raise the same errors in the same order; the saddle suite asks one
+    instance for its solution, its minimum and every objective value.
+    """
+
+    def __init__(self, a: BlockMatrix, tol: ToleranceConfig):
+        self._a = a
+        self._tol = tol
+        self._certified = False
+
+    @cached_property
+    def _p(self) -> np.ndarray:
+        return pinv(self._a.a22, self._tol)
+
+    @cached_property
+    def _g(self) -> BlockMatrix:
+        """gppt(A), from the kept A22^+."""
+        a = self._a
+        return BlockMatrix(a.n1, a.n2, _gppt_formula(a.data, a.n1, self._p))
+
+    @cached_property
+    def _kernel(self) -> SubspaceBasis:
+        return kernel_basis(self._a.a22, self._tol)
+
+    def certify_min(self) -> BlockMatrix:
+        """gppt(A), once the minimization hypotheses are certified."""
+        a, tol = self._a, self._tol
+        if not self._certified:
+            if not a.is_hermitian(tol):
+                raise PreconditionError("the matrix must be Hermitian")
+            if not loewner_leq(np.zeros_like(a.a22), a.a22, tol):
+                raise PreconditionError("the pivot block must be positive semidefinite")
+            resid = max_abs(a.a12 - a.a12 @ self._g.a22 @ a.a22)
+            if resid > tol.scaled_eq_tol(a.data):
+                raise PreconditionError(
+                    "kernel of the pivot block must lie in the kernel of the (1,2) block",
+                    certificate=resid,
+                )
+            self._certified = True
+        return self._g
+
+    def objective(self, x1, x2, y2) -> float:
+        a, tol = self._a, self._tol
+        x1v = as_vector(x1, a.n1, "x1")
+        x2v = as_vector(x2, a.n2, "x2")
+        y2v = as_vector(y2, a.n2, "y2")
+        z = np.concatenate([x1v, x2v])
+        quad = complex(np.vdot(z, a.data @ z))
+        if abs(quad.imag) > tol.eq_tol * (1.0 + abs(quad)):
+            raise PreconditionError(
+                "quadratic form has a non-negligible imaginary part; the matrix must be Hermitian",
+                certificate=abs(quad.imag),
+            )
+        proj = a.a22 @ self._p
+        coupling = complex(np.vdot(y2v, proj @ x2v))
+        return 0.5 * quad.real - coupling.real
+
+    def schur_min(self, x1) -> MinimizationResult:
+        g = self.certify_min()
+        x1v = as_vector(x1, self._a.n1, "x1")
+        value = _real_quadratic(g.a11, x1v, self._tol, "the Schur quadratic form")
+        particular = g.a21 @ x1v
+        return MinimizationResult(value, AffineSet(particular, self._kernel))
+
+    def ppt_min(self, x1, y2) -> MinimizationResult:
+        a = self._a
+        g = self.certify_min()
+        x1v, y2v = _split_z(a, x1, y2)
+        z = np.concatenate([x1v, y2v])
+        value = _ppt_min_value(signature_matrix(a.n1, a.n2) @ g.data, z, self._tol)
+        particular = g.a21 @ x1v + g.a22 @ y2v
+        return MinimizationResult(value, AffineSet(particular, self._kernel))
+
+    def solve(self, x1, y2) -> SaddleSolution:
+        a, tol = self._a, self._tol
+        x1v, y2v = _split_z(a, x1, y2)
+        g = self._g
+        p = g.a22
+        cert_tol = tol.scaled_eq_tol(a.data)
+        r21 = max_abs(a.a21 - a.a22 @ p @ a.a21)
+        if r21 > cert_tol:
+            raise PreconditionError(
+                "range of the (2,1) block must lie in the range of the pivot block",
+                certificate=r21,
+            )
+        r12 = max_abs(a.a12 - a.a12 @ p @ a.a22)
+        if r12 > cert_tol:
+            raise PreconditionError(
+                "kernel of the pivot block must lie in the kernel of the (1,2) block",
+                certificate=r12,
+            )
+        rhs2 = y2v - a.a21 @ x1v
+        unreachable = rhs2 - a.a22 @ (p @ rhs2)
+        scale = 1.0 + float(np.linalg.norm(y2v)) + a.norm_max()
+        defect = float(np.linalg.norm(unreachable))
+        if defect > tol.eq_tol * scale:
+            raise NoSolutionError(
+                "y2 - A21 x1 lies outside the range of the pivot block; no solution exists",
+                certificate=defect,
+            )
+        y1 = g.a11 @ x1v + a.a12 @ (p @ y2v)
+        particular = g.a21 @ x1v + p @ y2v
+        x2_set = AffineSet(particular, self._kernel)
+        z = np.concatenate([x1v, y2v])
+        packaged = (signature_matrix(a.n1, a.n2) @ g.data) @ z
+        expected = np.concatenate([y1, -particular])
+        packaging_residual = max_abs(packaged - expected)
+        return SaddleSolution(y1, x2_set, packaging_residual)
+
+
 def objective(a: BlockMatrix, x1, x2, y2, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """(1/2)(z, Az) - Re(y2, A22 A22^+ x2) with z = [x1; x2].
 
     The quadratic term must be real (A Hermitian); an imaginary part
     beyond eq_tol raises.
     """
-    x1v = as_vector(x1, a.n1, "x1")
-    x2v = as_vector(x2, a.n2, "x2")
-    y2v = as_vector(y2, a.n2, "y2")
-    z = np.concatenate([x1v, x2v])
-    quad = complex(np.vdot(z, a.data @ z))
-    if abs(quad.imag) > tol.eq_tol * (1.0 + abs(quad)):
-        raise PreconditionError(
-            "quadratic form has a non-negligible imaginary part; the matrix must be Hermitian",
-            certificate=abs(quad.imag),
-        )
-    proj = a.a22 @ pinv(a.a22, tol)
-    coupling = complex(np.vdot(y2v, proj @ x2v))
-    return 0.5 * quad.real - coupling.real
-
-
-def _check_min_preconditions(a: BlockMatrix, tol: ToleranceConfig) -> BlockMatrix:
-    """gppt(A), once the minimization hypotheses are certified."""
-    if not a.is_hermitian(tol):
-        raise PreconditionError("the matrix must be Hermitian")
-    if not loewner_leq(np.zeros_like(a.a22), a.a22, tol):
-        raise PreconditionError("the pivot block must be positive semidefinite")
-    g = gppt(a, tol)
-    resid = max_abs(a.a12 - a.a12 @ g.a22 @ a.a22)
-    if resid > tol.scaled_eq_tol(a.data):
-        raise PreconditionError(
-            "kernel of the pivot block must lie in the kernel of the (1,2) block",
-            certificate=resid,
-        )
-    return g
-
-
-def _real_quadratic(m: np.ndarray, v: np.ndarray, tol: ToleranceConfig, what: str) -> float:
-    q = complex(np.vdot(v, m @ v))
-    if abs(q.imag) > tol.eq_tol * (1.0 + abs(q)):
-        raise PreconditionError(f"{what} is not real", certificate=abs(q.imag))
-    return q.real
+    return _SaddleInstance(a, tol).objective(x1, x2, y2)
 
 
 def schur_min(a: BlockMatrix, x1, tol: ToleranceConfig = DEFAULT_TOL) -> MinimizationResult:
@@ -161,16 +259,7 @@ def schur_min(a: BlockMatrix, x1, tol: ToleranceConfig = DEFAULT_TOL) -> Minimiz
     of the pivot block.  Needs A Hermitian, PSD pivot block, and the
     kernel inclusion.
     """
-    g = _check_min_preconditions(a, tol)
-    x1v = as_vector(x1, a.n1, "x1")
-    value = _real_quadratic(g.a11, x1v, tol, "the Schur quadratic form")
-    particular = g.a21 @ x1v
-    return MinimizationResult(value, AffineSet(particular, kernel_basis(a.a22, tol)))
-
-
-def _ppt_min_value(jg: np.ndarray, z: np.ndarray, tol: ToleranceConfig) -> float:
-    """(1/2)(z, jppt(A) z), given jg = jppt(A) of a certified A."""
-    return 0.5 * _real_quadratic(jg, z, tol, "the pivot-transform quadratic form")
+    return _SaddleInstance(a, tol).schur_min(x1)
 
 
 def ppt_min(a: BlockMatrix, x1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> MinimizationResult:
@@ -181,12 +270,7 @@ def ppt_min(a: BlockMatrix, x1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> Minim
     preconditions as schur_min; at y2 = 0 the value is half the
     schur_min value and the minimizer sets coincide.
     """
-    g = _check_min_preconditions(a, tol)
-    x1v, y2v = _split_z(a, x1, y2)
-    z = np.concatenate([x1v, y2v])
-    value = _ppt_min_value(signature_matrix(a.n1, a.n2) @ g.data, z, tol)
-    particular = g.a21 @ x1v + g.a22 @ y2v
-    return MinimizationResult(value, AffineSet(particular, kernel_basis(a.a22, tol)))
+    return _SaddleInstance(a, tol).ppt_min(x1, y2)
 
 
 def solve_saddle(a: BlockMatrix, x1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> SaddleSolution:
@@ -199,39 +283,7 @@ def solve_saddle(a: BlockMatrix, x1, y2, tol: ToleranceConfig = DEFAULT_TOL) -> 
     unique y1 is (A/A22) x1 + A12 A22^+ y2, and the x2 solutions form
     -A22^+ A21 x1 + A22^+ y2 plus ker A22.
     """
-    x1v, y2v = _split_z(a, x1, y2)
-    g = gppt(a, tol)
-    p = g.a22
-    cert_tol = tol.scaled_eq_tol(a.data)
-    r21 = max_abs(a.a21 - a.a22 @ p @ a.a21)
-    if r21 > cert_tol:
-        raise PreconditionError(
-            "range of the (2,1) block must lie in the range of the pivot block",
-            certificate=r21,
-        )
-    r12 = max_abs(a.a12 - a.a12 @ p @ a.a22)
-    if r12 > cert_tol:
-        raise PreconditionError(
-            "kernel of the pivot block must lie in the kernel of the (1,2) block",
-            certificate=r12,
-        )
-    rhs2 = y2v - a.a21 @ x1v
-    unreachable = rhs2 - a.a22 @ (p @ rhs2)
-    scale = 1.0 + float(np.linalg.norm(y2v)) + a.norm_max()
-    defect = float(np.linalg.norm(unreachable))
-    if defect > tol.eq_tol * scale:
-        raise NoSolutionError(
-            "y2 - A21 x1 lies outside the range of the pivot block; no solution exists",
-            certificate=defect,
-        )
-    y1 = g.a11 @ x1v + a.a12 @ (p @ y2v)
-    particular = g.a21 @ x1v + p @ y2v
-    x2_set = AffineSet(particular, kernel_basis(a.a22, tol))
-    z = np.concatenate([x1v, y2v])
-    packaged = (signature_matrix(a.n1, a.n2) @ g.data) @ z
-    expected = np.concatenate([y1, -particular])
-    packaging_residual = max_abs(packaged - expected)
-    return SaddleSolution(y1, x2_set, packaging_residual)
+    return _SaddleInstance(a, tol).solve(x1, y2)
 
 
 def reconstruct_jppt_from_minima(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -249,7 +301,7 @@ def reconstruct_jppt_from_minima(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_
     m = np.zeros((n, n), dtype=dtype)
     if n == 0:
         return m
-    jg = signature_matrix(a.n1, a.n2) @ _check_min_preconditions(a, tol).data
+    jg = signature_matrix(a.n1, a.n2) @ _SaddleInstance(a, tol).certify_min().data
 
     def q(z: np.ndarray) -> float:
         return 2.0 * _ppt_min_value(jg, z, tol)

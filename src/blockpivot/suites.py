@@ -122,7 +122,9 @@ def _monotonicity_trial(seed: int, tol: ToleranceConfig) -> list[str]:
     n2 = 1 + rng.randint(6)
     fld = _trial_field(rng)
     a, b = gen.rand_ordered_pair(gen.GenSpec(n1, n2, fld, rng.next_uint64()), mode)
-    report = mono.ppt_monotonicity_report(a, b, tol)
+    # the pair is checked once, and every verdict is read off its factorizations
+    pair = mono._OrderPair.of_blocks(a, b, tol)
+    report = pair.report()
     bad = []
     if not report.hypothesis_ok:
         bad.append(f"mode {mode}: generated pair is not ordered")
@@ -134,19 +136,19 @@ def _monotonicity_trial(seed: int, tol: ToleranceConfig) -> list[str]:
         )
     if report.pinv_reversed and not report.schur_ordered:
         bad.append(f"mode {mode}: ordered pseudoinverses without ordered Schur complements")
-    sampled = mono.rank_path_sampled(a.a22, b.a22, tol)
+    sampled = pair.rank_path_sampled()
     if sampled.constant != report.rank_path.constant:
         bad.append(
             f"mode {mode}: sampled rank path {sampled.constant} "
             f"vs deterministic {report.rank_path.constant}"
         )
-    pm = mono.pinv_monotone(a.a22, b.a22, tol)
+    pm = pair.pinv_monotone()
     if pm.holds != report.pinv_reversed:
         bad.append(
             f"mode {mode}: kernel/inertia criterion {pm.holds} "
             f"vs direct pseudoinverse ordering {report.pinv_reversed}"
         )
-    conditions = mono.ppt_order_conditions(a, b, tol)
+    conditions = pair.order_conditions()
     if conditions.overall != report.ppt_ordered:
         bad.append(
             f"mode {mode}: blockwise order conditions {conditions.overall} "
@@ -163,7 +165,9 @@ def _saddle_trial(seed: int, tol: ToleranceConfig) -> list[str]:
     hermitian = rng.randint(2) == 0
     a = gen.rand_saddle_instance(gen.GenSpec(n1, n2, fld, rng.next_uint64()), hermitian=hermitian)
     x1, y2 = gen.rand_saddle_rhs(a, rng.next_uint64())
-    sol = sdl.solve_saddle(a, x1, y2, tol)
+    # one instance factors A once for the solution, the minimum and every objective value
+    inst = sdl._SaddleInstance(a, tol)
+    sol = inst.solve(x1, y2)
     bad = []
     scale = 1.0 + a.norm_max()
     z = np.concatenate([x1, sol.particular_x2])
@@ -182,13 +186,13 @@ def _saddle_trial(seed: int, tol: ToleranceConfig) -> list[str]:
         if resid2 > 1e-9 * scale:
             bad.append(f"kernel-shifted solution residual {resid2:.3e}")
     if hermitian:
-        result = sdl.ppt_min(a, x1, y2, tol)
-        at_min = sdl.objective(a, x1, result.minimizers.particular, y2, tol)
+        result = inst.ppt_min(x1, y2)
+        at_min = inst.objective(x1, result.minimizers.particular, y2)
         if abs(at_min - result.value) > 1e-9 * scale:
             bad.append(f"objective at minimizer off by {abs(at_min - result.value):.3e}")
         for k in range(10):
             delta = gen.rand_matrix(n2, 1, fld, rng.next_uint64())[:, 0]
-            trial_val = sdl.objective(a, x1, result.minimizers.particular + delta, y2, tol)
+            trial_val = inst.objective(x1, result.minimizers.particular + delta, y2)
             if trial_val < result.value - 1e-8 * scale:
                 bad.append(f"perturbation {k} beat the minimum by {result.value - trial_val:.3e}")
                 break
@@ -204,7 +208,7 @@ def _concavity_trial(seed: int, tol: ToleranceConfig) -> list[str]:
     ts = [i / 10.0 for i in range(11)] + list(rng.uniform(3, 0.0, 1.0))
     # each pair is checked once, and each gap kind is evaluated at all t at once
     segment = cvx._ConcavitySegment.of_blocks(a, b, tol)
-    pivots = cvx._ConcavitySegment.of_matrices(a.a22, b.a22, tol)
+    pivots = segment.pivots()
     bordered = pivots.bordered()
     gaps = (segment.jppt_gaps(ts), segment.schur_gaps(ts), pivots.pinv_gaps(ts), bordered.jppt_gaps(ts))
     bad = []

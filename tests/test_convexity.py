@@ -212,13 +212,16 @@ def test_gaps_decompose_each_pair_once(monkeypatch):
         fn(*args)
         return counts["svd"], counts["eigvalsh"]
 
-    # per trial: the generator (2 SVDs), two pair checks (2 SVDs, 2 eigvalsh
-    # each), and per gap kind one stacked SVD and one stacked eigvalsh over
-    # the endpoints and all 14 values of t; the bordered pair is not checked
-    # again.  Per-t segment calls ran 72 SVDs and 62 eigvalsh, and per-t
-    # public gap calls 282 and 168.
+    # per trial: the generator (2 SVDs), the block pair check (2 kernel SVDs,
+    # 2 eigvalsh), the pivots' PSD checks (2 eigvalsh; their kernels were
+    # compared by the block pair check), one stacked gppt shared by the jppt
+    # and Schur gaps, one stacked SVD each for the pinv and bordered gaps,
+    # and one stacked eigvalsh per gap kind over the endpoints and all 14
+    # values of t.  Checking the pivots' kernels again and transforming the
+    # block stack once per gap kind ran 10 SVDs; per-t segment calls ran 72
+    # SVDs and 62 eigvalsh, and per-t public gap calls 282 and 168.
     svds, eigs = run(_concavity_trial, 12345, DEFAULT_TOL)
-    assert svds <= 10 and eigs <= 8
+    assert svds <= 7 and eigs <= 8
     # a one-shot call checks the pair (2 kernel SVDs) and transforms a stack
     # of three matrices (1 SVD); it ran 5 SVDs before the stacked segment
     rng = Xoshiro256pp(4343)

@@ -17,8 +17,10 @@ from blockpivot import (
     gppt,
     hermitian_part,
     inertia,
+    is_psd,
     jppt,
     jppt_im_congruence,
+    kernel_basis,
     loewner_leq,
     max_abs,
     pinv,
@@ -33,14 +35,18 @@ from blockpivot import (
     rank_path_constant,
     rank_path_sampled,
     reconstruct_jppt_from_minima,
+    schur_complement,
     schur_difference_identity,
     schur_min,
     solve_saddle,
     spectral_path_check,
+    subspace_eq,
 )
+from blockpivot import blockmat, linalg
 from blockpivot import generate as gen
+from blockpivot.monotone import _OrderPair
 from blockpivot.rng import Xoshiro256pp
-from blockpivot.suites import _ep_congruence_trial
+from blockpivot.suites import _ep_congruence_trial, _monotonicity_trial, _saddle_trial
 
 
 def test_report_on_scalar_pair(pair_2x2):
@@ -84,6 +90,56 @@ def test_report_validation(pair_2x2):
     skew = BlockMatrix(1, 1, np.array([[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(PreconditionError):
         ppt_monotonicity_report(a, skew)
+
+
+# A pair that is Hermitian at the scale of its large (1,1) blocks but whose
+# pivot blocks are not Hermitian at their own scale.
+_BIG = np.diag([1e8, 1.0, 1.0])
+_SKEW_PIVOT = _BIG.copy()
+_SKEW_PIVOT[2, 1] = 1e-4
+
+_MISMATCH = (BlockMatrix(1, 1, np.eye(2)), BlockMatrix(2, 0, np.eye(2)))
+_SKEWED = (np.eye(2), _SKEW_PIVOT[1:, 1:])
+_UNORDERED = (np.diag([1.0, 1.0]), np.diag([0.0, 1.0]))
+_INDEFINITE_STEP = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+_MISMATCH_TEXT = "partition mismatch: (1, 1) vs (2, 0)"
+_NOT_HERMITIAN = "both matrices must be Hermitian"
+_SIZES = "need square matrices of equal size, got (2, 2) and (3, 3)"
+_GRID = "the grid oracles require C <= D or D <= C"
+
+_REJECTIONS = (
+    # (function, arguments, error type, message)
+    (ppt_monotonicity_report, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
+    (ppt_order_conditions, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
+    (schur_difference_identity, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
+    (ppt_monotonicity_report, (BlockMatrix(1, 2, _BIG), BlockMatrix(1, 2, _SKEW_PIVOT)),
+     PreconditionError, _NOT_HERMITIAN),
+    (pinv_monotone, _SKEWED, PreconditionError, _NOT_HERMITIAN),
+    (rank_path_constant, _SKEWED, PreconditionError, _NOT_HERMITIAN),
+    (rank_path_sampled, _SKEWED, PreconditionError, _NOT_HERMITIAN),
+    (det_sign_path_check, _SKEWED, PreconditionError, _NOT_HERMITIAN),
+    (spectral_path_check, _SKEWED, PreconditionError, _NOT_HERMITIAN),
+    (pinv_monotone, (np.eye(2), np.eye(3)), InvalidInputError, _SIZES),
+    (rank_path_sampled, (np.eye(2), np.eye(3)), InvalidInputError, _SIZES),
+    (pinv_monotone, _UNORDERED, PreconditionError, "requires C <= D in the semidefinite order"),
+    (rank_path_constant, _UNORDERED, PreconditionError, "rank path analysis requires C <= D"),
+    (rank_path_sampled, _INDEFINITE_STEP, PreconditionError, _GRID),
+    (det_sign_path_check, _INDEFINITE_STEP, PreconditionError, _GRID),
+)
+
+
+@pytest.mark.parametrize("fn, args, error, message", _REJECTIONS)
+def test_order_functions_reject_with_the_same_error(fn, args, error, message):
+    with pytest.raises(error) as info:
+        fn(*args)
+    assert str(info.value) == message
+
+
+def test_order_conditions_need_no_hermitian_pivots():
+    # only the pivot routines check the pivots at their own scale
+    a, b = BlockMatrix(1, 2, _BIG), BlockMatrix(1, 2, _SKEW_PIVOT)
+    conditions = ppt_order_conditions(a, b)
+    assert not conditions.pinv_leq and not conditions.overall
 
 
 def test_report_without_order_hypothesis():
@@ -320,6 +376,10 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
     # one gppt, then one SVD in is_ep and one in each congruence
     # (seed 12345 takes the Im-PSD branch)
     assert svd_count(_ep_congruence_trial, 12345, DEFAULT_TOL) <= 4
+    # one saddle instance: gppt and the pivot kernel basis serve the
+    # solution, the minimum and all 11 objective values (it ran 15 SVDs,
+    # one pinv per objective call)
+    assert svd_count(_saddle_trial, 12345, DEFAULT_TOL) <= 2
     # a crossing rank path costs no SVD beyond the two gppt calls
     a, b = rand_ordered_pair(CROSSING_PAIRS[0], "generic")
     assert not ppt_monotonicity_report(a, b).rank_path.constant
@@ -408,3 +468,86 @@ def test_lifted_seam_pairs_are_consistent():
         assert r.hypothesis_ok and r.consistent, i
         assert pinv_monotone(a.a22, b.a22).holds == r.pinv_reversed, i
         assert rank_path_sampled(a.a22, b.a22).constant == r.rank_path.constant, i
+
+
+def _counting(monkeypatch, names, *modules):
+    """Count the calls of the functions ``names``, patched on each of
+    ``modules`` (every module that holds its own reference to them)."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(modules[0], name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_monotonicity_trial_factors_each_operand_once(monkeypatch):
+    # one pair per trial: gppt of each operand and pinv of the pivot
+    # difference (3 SVDs), one eigen-split per pivot (2 eigh), and one
+    # eigvalsh per order test, with D22 - C22 decided once for the pinv
+    # criterion and the grid oracle; five public calls ran 5, 4 and 9
+    counts = _counting(monkeypatch, ("svd", "eigh", "eigvalsh"), np.linalg)
+    _monotonicity_trial(12345, DEFAULT_TOL)
+    assert counts["svd"] <= 3
+    assert counts["eigh"] <= 2
+    assert counts["eigvalsh"] <= 7
+
+
+def test_report_checks_each_matrix_once(monkeypatch):
+    # the block pair check and the pivot check; the report made 13.7
+    # is_hermitian calls when every order test re-validated its operands
+    counts = _counting(monkeypatch, ("is_hermitian",), linalg, blockmat)
+    rng = Xoshiro256pp(5151)
+    for mode in ORDERED_PAIR_MODES:
+        for fld in ("real", "complex"):
+            a, b = rand_ordered_pair(GenSpec(2, 3, fld, rng.next_uint64()), mode)
+            counts["is_hermitian"] = 0
+            ppt_monotonicity_report(a, b)
+            assert counts["is_hermitian"] <= 6, (mode, fld)
+
+
+def test_pair_verdicts_match_public_primitives():
+    # every verdict the monotonicity suite reads off one pair, recomputed
+    # from the public primitives on the same arrays
+    rng = Xoshiro256pp(60606)
+    for mode in ORDERED_PAIR_MODES:
+        for k in range(24):
+            n1 = 0 if k % 4 == 0 else rng.randint(4)
+            n2 = 1 + rng.randint(4)
+            fld = ("real", "complex")[k % 2]
+            a, b = rand_ordered_pair(GenSpec(n1, n2, fld, rng.next_uint64()), mode)
+            a22, b22 = a.a22, b.a22
+            pair = _OrderPair.of_blocks(a, b, DEFAULT_TOL)
+            report = pair.report()
+            where = (mode, k, n1, n2, fld)
+            assert report.hypothesis_ok == loewner_leq(a.data, b.data), where
+            assert report.ppt_ordered == loewner_leq(jppt(a).data, jppt(b).data), where
+            assert report.pinv_reversed == loewner_leq(pinv(b22), pinv(a22)), where
+            schur_ordered = loewner_leq(schur_complement(a), schur_complement(b))
+            assert report.schur_ordered == schur_ordered, where
+            assert report.rank_path == rank_path_constant(a22, b22, require_order=False), where
+            sampled = pair.rank_path_sampled()
+            assert sampled == rank_path_sampled(a22, b22), where
+            assert sampled.constant == report.rank_path.constant, where
+            pm = pair.pinv_monotone()
+            ker_equal = subspace_eq(kernel_basis(a22), kernel_basis(b22))
+            inertia_equal = inertia(a22).n_neg == inertia(b22).n_neg
+            assert (pm.ker_equal, pm.inertia_equal) == (ker_equal, inertia_equal), where
+            assert pm == pinv_monotone(a22, b22), where
+            conditions = pair.order_conditions()
+            ga, gb = gppt(a), gppt(b)
+            dp = hermitian_part(ga.a22 - gb.a22)
+            dp_pinv = pinv(dp)
+            g, gr = gb.a12 - ga.a12, ga.a21 - gb.a21
+            s = hermitian_part(gb.a11 - ga.a11 - g @ dp_pinv @ gr)
+            assert conditions.pinv_leq == report.pinv_reversed, where
+            assert conditions.ker_incl == (
+                max_abs(g - g @ dp_pinv @ dp) <= DEFAULT_TOL.scaled_eq_tol(g, dp)
+            ), where
+            assert conditions.residual_psd == is_psd(s), where
+            assert conditions == ppt_order_conditions(a, b), where
