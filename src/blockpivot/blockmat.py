@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
-from .linalg import adjoint, as_matrix, is_hermitian, max_abs
+from .linalg import _is_hermitian, adjoint, as_matrix, max_abs
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -92,7 +92,7 @@ class BlockMatrix:
         return BlockMatrix(self.n1, self.n2, adjoint(self.data))
 
     def is_hermitian(self, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-        return is_hermitian(self.data, tol)
+        return _is_hermitian(self.data, tol)
 
     def norm_max(self) -> float:
         return max_abs(self.data)

@@ -12,14 +12,21 @@ The pseudoinverse of a ``(k, m, n)`` stack (``_pinv_stack``) comes from one
 stacked SVD and applies the same zero test row by row, to each matrix's
 own singular values; it equals ``pinv`` of each matrix bit for bit.
 
-Each public function validates its inputs.  Two private twins skip that
-for callers that hold arrays already validated: ``_hermitian`` is
+Each public function validates its inputs.  Three private twins skip
+that for callers that hold arrays already validated: ``_is_hermitian`` is
+``is_hermitian`` of a finite 2-d array, ``_hermitian`` is
 ``hermitian_part`` of a finite square array, and ``_loewner_leq`` is
 ``loewner_leq`` of two finite Hermitian arrays of equal shape.  The
 callers guarantee that contract, which the twins do not check; they do
 the same arithmetic as the public functions, so their results are the
 same bits.  (``_loewner_leq`` checks only that the difference is finite,
 which costs one pass, so that operands which overflowed still raise.)
+
+A Hermitian matrix's pseudoinverse can also be read off its eigen-split
+(``_herm_split``): ``_pinv_of_split`` is V diag(1/w) V^H over the
+nonzero eigenvalues w, under the same zero test, so a caller that holds
+the split gets pinv, rank, kernel, support and inertia from one ``eigh``.
+It agrees with ``pinv`` up to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -100,7 +107,7 @@ def check_square_pair(c, d) -> tuple[np.ndarray, np.ndarray]:
 def check_hermitian_pair(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Validate two Hermitian matrices of equal size."""
     ca, da = check_square_pair(c, d)
-    if not is_hermitian(ca, tol) or not is_hermitian(da, tol):
+    if not _is_hermitian(ca, tol) or not _is_hermitian(da, tol):
         raise PreconditionError("both matrices must be Hermitian")
     return ca, da
 
@@ -116,7 +123,11 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    arr = as_matrix(m)
+    return _is_hermitian(as_matrix(m), tol)
+
+
+def _is_hermitian(arr: np.ndarray, tol: ToleranceConfig) -> bool:
+    """``is_hermitian`` of a validated 2-d array, unchecked."""
     if arr.shape[0] != arr.shape[1]:
         return False
     return max_abs(arr - adjoint(arr)) <= tol.scaled_eq_tol(arr)
@@ -244,17 +255,26 @@ def _herm_split(h: np.ndarray, tol: ToleranceConfig):
 
     Returns (kernel basis, support basis, nonzero eigenvalues); the
     eigenvalues belong to the support basis columns, so their count is
-    the rank.
+    the rank.  A Hermitian part that overflows raises, rather than leaving
+    NaN eigenvalues that the zero test would call zero.
     """
     w, v = np.linalg.eigh(_hermitian(h))
+    if not np.isfinite(w).all():
+        raise InvalidInputError("matrix contains non-finite entries")
     nz = _nonzero(w, tol)
     return v[:, ~nz], v[:, nz], w[nz]
+
+
+def _pinv_of_split(support: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """V diag(1/w) V^H from the support basis V and the nonzero eigenvalues
+    w of a ``_herm_split``: the pseudoinverse of that Hermitian matrix."""
+    return support @ ((1.0 / w)[:, None] * adjoint(support))
 
 
 def inertia(h, tol: ToleranceConfig = DEFAULT_TOL) -> Inertia:
     """Eigenvalue sign counts of a Hermitian matrix; zero by the zero test."""
     arr = as_matrix(h)
-    if not is_hermitian(arr, tol):
+    if not _is_hermitian(arr, tol):
         raise PreconditionError("inertia needs a Hermitian matrix")
     w = np.linalg.eigvalsh(_hermitian(arr))
     w = w[_nonzero(w, tol)]
@@ -307,7 +327,7 @@ def _order_operands(h1, h2, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarra
     a2 = as_matrix(h2, "h2")
     if a1.shape != a2.shape:
         raise PreconditionError(f"dimension mismatch: {a1.shape} vs {a2.shape}")
-    if not is_hermitian(a1, tol) or not is_hermitian(a2, tol):
+    if not _is_hermitian(a1, tol) or not _is_hermitian(a2, tol):
         raise PreconditionError("ordering is defined for Hermitian matrices only")
     return a1, a2
 

@@ -9,17 +9,21 @@ arithmetic, so the report carries a consistency verdict.
 
 This module decides no zero of its own: kernels, ranks, negative
 eigenvalue counts and the singularity of the pencil come from ``linalg``'s
-zero test (|eigenvalue| <= rank_rel_tol * max|eigenvalue|), the test the
-pseudoinverses read off ``gppt`` use, so the three criteria call the same
-pivot eigenvalues zero.  ``psd_tol`` is the slack of the semidefinite
-order only.
+zero test (|eigenvalue| <= rank_rel_tol * max|eigenvalue|).  Each pivot
+block is factored once, by one eigen-split, and the pivot pseudoinverses
+of both transforms are read off that same split, so the three criteria
+call the same pivot eigenvalues zero by construction.  ``psd_tol`` is the
+slack of the semidefinite order only.
 
 Each public order function checks its pair once and reads its verdict
-off a private order pair, which factors each operand once: one gppt per
-operand, one eigen-split per pivot block and one eigvalsh of the pivot
-difference D - C, which decides both C <= D and the grid oracles'
-precondition.  The monotonicity suite reads all of its verdicts off one
-pair, so each of its pairs is checked and factored once.
+off a private order pair: one eigen-split per pivot block, gppt of each
+operand built from it, and one eigvalsh of the pivot difference D - C,
+which decides both C <= D and the grid oracles' precondition.  An order
+report runs no SVD.  A block pair is checked as a whole, and its pivot
+routines work on the Hermitian parts of A22 and B22, so every order
+function accepts the same block pairs.  The monotonicity suite reads all
+of its verdicts off one pair, so each of its pairs is checked and
+factored once.
 
 Grid oracles are provided as independent cross-checks of the
 deterministic verdicts.  They require C <= D or D <= C, certified by one
@@ -46,6 +50,7 @@ from .linalg import (
     _hermitian,
     _loewner_leq,
     _nonzero,
+    _pinv_of_split,
     adjoint,
     check_hermitian_pair,
     hermitian_part,
@@ -55,7 +60,7 @@ from .linalg import (
     subspace_eq,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .transforms import gppt, schur_complement, signature_matrix
+from .transforms import _gppt_formula, gppt, schur_complement, signature_matrix
 
 __all__ = [
     "RankPathReport",
@@ -215,51 +220,47 @@ class _OrderPair:
     factorizations.
 
     Build it with ``of_blocks`` (a block pair A, B; the pivot routines
-    work on C = A22 and D = B22) or ``of_pivots`` (a plain pair C, D).  On
-    first use it keeps gppt of each operand (one SVD each), the eigen-split
-    of C and of D (one eigh each) and the eigenvalues of D - C (one
-    eigvalsh), which decide both C <= D and the grid oracles'
-    precondition.  Each public order function checks its inputs and
-    reads one verdict off a new pair; the monotonicity suite reads all of
-    its verdicts off one pair.
+    work on C and D, the Hermitian parts of A22 and B22) or ``of_pivots``
+    (a plain pair C, D).  Either checks its pair once and no pivot routine
+    checks again.  On first use it keeps the eigen-split of C and of D
+    (one eigh each), gppt of each operand with its pivot pseudoinverse read
+    off that split, and the eigenvalues of D - C (one eigvalsh), which
+    decide both C <= D and the grid oracles' precondition.  Each public
+    order function checks its inputs and reads one verdict off a new pair;
+    the monotonicity suite reads all of its verdicts off one pair.
     """
 
-    def __init__(
-        self, a, b, c: np.ndarray, d: np.ndarray, tol: ToleranceConfig, pivots_checked: bool
-    ):
+    def __init__(self, a, b, c: np.ndarray, d: np.ndarray, tol: ToleranceConfig):
         self._a = a
         self._b = b
         self._c = c
         self._d = d
         self._tol = tol
-        self._pivots_checked = pivots_checked
 
     @classmethod
     def of_blocks(cls, a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig) -> "_OrderPair":
         check_hermitian_block_pair(a, b, tol)
-        return cls(a, b, a.a22, b.a22, tol, False)
+        return cls(a, b, _hermitian(a.a22), _hermitian(b.a22), tol)
 
     @classmethod
     def of_pivots(cls, c, d, tol: ToleranceConfig) -> "_OrderPair":
         ca, da = check_hermitian_pair(c, d, tol)
-        return cls(None, None, ca, da, tol, True)
-
-    def _check_pivots(self) -> None:
-        """The pivot routines need C and D Hermitian relative to their own
-        scale, which a Hermitian block pair does not imply; a block pair
-        checks its pivots when a pivot routine first asks."""
-        if not self._pivots_checked:
-            check_hermitian_pair(self._c, self._d, self._tol)
-            self._pivots_checked = True
-
-    @cached_property
-    def transforms(self) -> tuple[BlockMatrix, BlockMatrix]:
-        return gppt(self._a, self._tol), gppt(self._b, self._tol)
+        return cls(None, None, ca, da, tol)
 
     @cached_property
     def splits(self):
         """The eigen-splits (kernel, support, nonzero eigenvalues) of C and D."""
         return _herm_split(self._c, self._tol), _herm_split(self._d, self._tol)
+
+    @cached_property
+    def transforms(self) -> tuple[BlockMatrix, BlockMatrix]:
+        """gppt(A) and gppt(B), each pivot pseudoinverse V diag(1/w) V^H read
+        off the pivot's eigen-split, so the transforms and the rank path
+        call the same eigenvalues zero and no SVD runs."""
+        return tuple(
+            BlockMatrix(x.n1, x.n2, _gppt_formula(x.data, x.n1, _pinv_of_split(supp, w)))
+            for x, (_, supp, w) in zip((self._a, self._b), self.splits)
+        )
 
     @cached_property
     def kernels_equal(self) -> bool:
@@ -329,7 +330,6 @@ class _OrderPair:
         )
 
     def pinv_monotone(self) -> PinvMonotoneResult:
-        self._check_pivots()
         if not self._pivots_ordered():
             raise PreconditionError("requires C <= D in the semidefinite order")
         (_, _, w_c), (_, _, w_d) = self.splits
@@ -338,7 +338,6 @@ class _OrderPair:
         return PinvMonotoneResult(ker_equal and inertia_equal, ker_equal, inertia_equal)
 
     def rank_path(self, require_order: bool) -> RankPathReport:
-        self._check_pivots()
         if require_order and not self._pivots_ordered():
             raise PreconditionError("rank path analysis requires C <= D")
         c, d, tol = self._c, self._d, self._tol
@@ -356,9 +355,9 @@ class _OrderPair:
                 off = np.flatnonzero(ranks[1:-1] != r0)
                 witness = float(ts[1 + off[0]]) if off.size else 0.5
             return RankPathReport(False, None, witness, "kernel_inertia", (r0, r1))
-        cr = hermitian_part(adjoint(supp_d) @ c @ supp_d)
-        dr = hermitian_part(adjoint(supp_d) @ d @ supp_d)
-        spect = spectral_path_check(cr, dr, tol)
+        cr = _hermitian(adjoint(supp_d) @ c @ supp_d)
+        dr = _hermitian(adjoint(supp_d) @ d @ supp_d)
+        spect = _spectral_path(cr, dr, tol)
         if spect.no_crossing:
             return RankPathReport(True, r0, None, "spectral", (r0, r1))
         # (1-t)C + tD = D((1-t)D^-1 C + tI) is singular at t = lam/(lam-1),
@@ -368,7 +367,6 @@ class _OrderPair:
         return RankPathReport(False, None, witness, "spectral", (r0, r1))
 
     def rank_path_sampled(self, points: int = 101) -> RankPathReport:
-        self._check_pivots()
         self._require_semidefinite_step()
         ts, w, ranks, nz = _segment_spectra(self._c, self._d, self._tol, points)
         endpoint = (int(ranks[0]), int(ranks[-1]))
@@ -381,7 +379,6 @@ class _OrderPair:
         return RankPathReport(True, r_max, None, "sampled", endpoint)
 
     def det_sign_path(self, points: int = 101) -> bool:
-        self._check_pivots()
         self._require_semidefinite_step()
         _, w, ranks, _ = _segment_spectra(self._c, self._d, self._tol, points)
         negatives = np.sum(w < 0.0, axis=1)
@@ -428,9 +425,12 @@ def spectral_path_check(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralPat
     test on its eigenvalues; the eigenvalues of D^-1 C only need positive
     real parts.
     """
-    ca, da = check_hermitian_pair(c, d, tol)
-    m = ca.shape[0]
-    if m == 0:
+    return _spectral_path(*check_hermitian_pair(c, d, tol), tol)
+
+
+def _spectral_path(ca: np.ndarray, da: np.ndarray, tol: ToleranceConfig) -> SpectralPathResult:
+    """``spectral_path_check`` of a checked Hermitian pair, unchecked."""
+    if ca.shape[0] == 0:
         return SpectralPathResult(True, True, ())
     if not _nonzero(np.linalg.eigvalsh(_hermitian(da)), tol).all():
         raise PreconditionError("D must be invertible for the spectral path test")

@@ -100,6 +100,8 @@ _SKEW_PIVOT[2, 1] = 1e-4
 
 _MISMATCH = (BlockMatrix(1, 1, np.eye(2)), BlockMatrix(2, 0, np.eye(2)))
 _SKEWED = (np.eye(2), _SKEW_PIVOT[1:, 1:])
+# a block pair that is not Hermitian at its own scale
+_SKEWED_BLOCKS = (BlockMatrix(1, 2, np.eye(3)), BlockMatrix(1, 2, np.eye(3) + 1e-4 * np.eye(3, k=-1)))
 _UNORDERED = (np.diag([1.0, 1.0]), np.diag([0.0, 1.0]))
 _INDEFINITE_STEP = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 _MISMATCH_TEXT = "partition mismatch: (1, 1) vs (2, 0)"
@@ -112,8 +114,7 @@ _REJECTIONS = (
     (ppt_monotonicity_report, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
     (ppt_order_conditions, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
     (schur_difference_identity, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
-    (ppt_monotonicity_report, (BlockMatrix(1, 2, _BIG), BlockMatrix(1, 2, _SKEW_PIVOT)),
-     PreconditionError, _NOT_HERMITIAN),
+    (ppt_monotonicity_report, _SKEWED_BLOCKS, PreconditionError, _NOT_HERMITIAN),
     (pinv_monotone, _SKEWED, PreconditionError, _NOT_HERMITIAN),
     (rank_path_constant, _SKEWED, PreconditionError, _NOT_HERMITIAN),
     (rank_path_sampled, _SKEWED, PreconditionError, _NOT_HERMITIAN),
@@ -135,11 +136,16 @@ def test_order_functions_reject_with_the_same_error(fn, args, error, message):
     assert str(info.value) == message
 
 
-def test_order_conditions_need_no_hermitian_pivots():
-    # only the pivot routines check the pivots at their own scale
+def test_block_pair_order_functions_share_one_validity_policy():
+    # a block pair is checked once, at its own scale, and its pivot
+    # routines work on the Hermitian parts of A22 and B22, so the report
+    # and the order conditions both give a verdict on pivots that are
+    # Hermitian only at the scale of the whole pair
     a, b = BlockMatrix(1, 2, _BIG), BlockMatrix(1, 2, _SKEW_PIVOT)
+    report = ppt_monotonicity_report(a, b)
     conditions = ppt_order_conditions(a, b)
-    assert not conditions.pinv_leq and not conditions.overall
+    assert not report.hypothesis_ok
+    assert conditions.pinv_leq == report.pinv_reversed
 
 
 def test_report_without_order_hypothesis():
@@ -327,9 +333,11 @@ def test_order_conditions_match_direct_ordering():
 
 
 def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
-    # one gppt per operand, plus one pseudoinverse of the pivot difference;
-    # the difference identity adds pinv(B22 - A22) and the Schur complement
-    # of B - A, and takes its kernel/range certificates from eigh; the
+    # the report reads each pivot pseudoinverse off the pivot's eigen-split
+    # and runs no SVD; the order conditions add one pseudoinverse of the
+    # pivot difference, and the difference identity adds pinv(B22 - A22)
+    # and the Schur complement of B - A (they ran 2, 3 and 5 when each
+    # gppt ran its own SVD), with its kernel/range certificates from eigh; the
     # minimizers' kernel basis is the saddle routines' second SVD; the
     # polarization reconstruction certifies and factors once per call (it
     # used to run ppt_min, 2 SVDs, for each of its n(n+1)/2 or n^2 values)
@@ -346,7 +354,7 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
         return len(calls)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    limits = ((ppt_monotonicity_report, 2), (ppt_order_conditions, 3), (schur_difference_identity, 5))
+    limits = ((ppt_monotonicity_report, 0), (ppt_order_conditions, 1), (schur_difference_identity, 3))
     rng = Xoshiro256pp(4242)
     for fld in ("real", "complex"):
         spec = GenSpec(1 + rng.randint(4), 1 + rng.randint(4), fld, rng.next_uint64())
@@ -380,10 +388,10 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
     # solution, the minimum and all 11 objective values (it ran 15 SVDs,
     # one pinv per objective call)
     assert svd_count(_saddle_trial, 12345, DEFAULT_TOL) <= 2
-    # a crossing rank path costs no SVD beyond the two gppt calls
+    # a crossing rank path costs no SVD either
     a, b = rand_ordered_pair(CROSSING_PAIRS[0], "generic")
     assert not ppt_monotonicity_report(a, b).rank_path.constant
-    assert svd_count(ppt_monotonicity_report, a, b) <= 2
+    assert svd_count(ppt_monotonicity_report, a, b) == 0
 
 
 def test_schur_difference_identity_exact(pair_4x4):
@@ -487,67 +495,116 @@ def _counting(monkeypatch, names, *modules):
 
 
 def test_monotonicity_trial_factors_each_operand_once(monkeypatch):
-    # one pair per trial: gppt of each operand and pinv of the pivot
-    # difference (3 SVDs), one eigen-split per pivot (2 eigh), and one
-    # eigvalsh per order test, with D22 - C22 decided once for the pinv
-    # criterion and the grid oracle; five public calls ran 5, 4 and 9
+    # one pair per trial: one eigen-split per pivot (2 eigh), which gives
+    # both transforms' pivot pseudoinverses, pinv of the pivot difference
+    # (1 SVD), and one eigvalsh per order test, with D22 - C22 decided once
+    # for the pinv criterion and the grid oracle; five public calls ran 5,
+    # 4 and 9, and one pair with an SVD per gppt 3, 2 and 7
     counts = _counting(monkeypatch, ("svd", "eigh", "eigvalsh"), np.linalg)
     _monotonicity_trial(12345, DEFAULT_TOL)
-    assert counts["svd"] <= 3
+    assert counts["svd"] <= 1
     assert counts["eigh"] <= 2
     assert counts["eigvalsh"] <= 7
 
 
 def test_report_checks_each_matrix_once(monkeypatch):
-    # the block pair check and the pivot check; the report made 13.7
-    # is_hermitian calls when every order test re-validated its operands
-    counts = _counting(monkeypatch, ("is_hermitian",), linalg, blockmat)
+    # the block pair check, one test per matrix; the report made 13.7
+    # Hermitian tests when every order test re-validated its operands, and
+    # 5.7 when it checked its pivots a second time
+    counts = _counting(monkeypatch, ("_is_hermitian",), linalg, blockmat)
     rng = Xoshiro256pp(5151)
     for mode in ORDERED_PAIR_MODES:
         for fld in ("real", "complex"):
             a, b = rand_ordered_pair(GenSpec(2, 3, fld, rng.next_uint64()), mode)
-            counts["is_hermitian"] = 0
+            counts["_is_hermitian"] = 0
             ppt_monotonicity_report(a, b)
-            assert counts["is_hermitian"] <= 6, (mode, fld)
+            assert counts["_is_hermitian"] <= 2, (mode, fld)
 
 
-def test_pair_verdicts_match_public_primitives():
-    # every verdict the monotonicity suite reads off one pair, recomputed
-    # from the public primitives on the same arrays
-    rng = Xoshiro256pp(60606)
+def _seeded_pairs(seed: int):
+    """24 ordered pairs per mode, both fields, n1 = 0 for every fourth."""
+    rng = Xoshiro256pp(seed)
     for mode in ORDERED_PAIR_MODES:
         for k in range(24):
             n1 = 0 if k % 4 == 0 else rng.randint(4)
             n2 = 1 + rng.randint(4)
             fld = ("real", "complex")[k % 2]
             a, b = rand_ordered_pair(GenSpec(n1, n2, fld, rng.next_uint64()), mode)
-            a22, b22 = a.a22, b.a22
-            pair = _OrderPair.of_blocks(a, b, DEFAULT_TOL)
-            report = pair.report()
-            where = (mode, k, n1, n2, fld)
-            assert report.hypothesis_ok == loewner_leq(a.data, b.data), where
-            assert report.ppt_ordered == loewner_leq(jppt(a).data, jppt(b).data), where
-            assert report.pinv_reversed == loewner_leq(pinv(b22), pinv(a22)), where
-            schur_ordered = loewner_leq(schur_complement(a), schur_complement(b))
-            assert report.schur_ordered == schur_ordered, where
-            assert report.rank_path == rank_path_constant(a22, b22, require_order=False), where
-            sampled = pair.rank_path_sampled()
-            assert sampled == rank_path_sampled(a22, b22), where
-            assert sampled.constant == report.rank_path.constant, where
-            pm = pair.pinv_monotone()
-            ker_equal = subspace_eq(kernel_basis(a22), kernel_basis(b22))
-            inertia_equal = inertia(a22).n_neg == inertia(b22).n_neg
-            assert (pm.ker_equal, pm.inertia_equal) == (ker_equal, inertia_equal), where
-            assert pm == pinv_monotone(a22, b22), where
-            conditions = pair.order_conditions()
-            ga, gb = gppt(a), gppt(b)
-            dp = hermitian_part(ga.a22 - gb.a22)
-            dp_pinv = pinv(dp)
-            g, gr = gb.a12 - ga.a12, ga.a21 - gb.a21
-            s = hermitian_part(gb.a11 - ga.a11 - g @ dp_pinv @ gr)
-            assert conditions.pinv_leq == report.pinv_reversed, where
-            assert conditions.ker_incl == (
-                max_abs(g - g @ dp_pinv @ dp) <= DEFAULT_TOL.scaled_eq_tol(g, dp)
-            ), where
-            assert conditions.residual_psd == is_psd(s), where
-            assert conditions == ppt_order_conditions(a, b), where
+            yield (mode, k, n1, n2, fld), a, b
+
+
+def test_pair_transforms_match_gppt():
+    # the pair reads each pivot pseudoinverse off the pivot's eigen-split,
+    # public gppt off an SVD of the pivot: they agree up to rounding
+    for where, a, b in _seeded_pairs(70707):
+        pair = _OrderPair.of_blocks(a, b, DEFAULT_TOL)
+        for x, transform in zip((a, b), pair.transforms):
+            expected = gppt(x).data
+            assert max_abs(transform.data - expected) <= 1e-10 * (1.0 + max_abs(expected)), where
+
+
+def test_split_rank_matches_rank():
+    # the eigen-split and the SVD call the same pivot eigenvalues zero
+    for where, a, b in _seeded_pairs(80808):
+        pair = _OrderPair.of_blocks(a, b, DEFAULT_TOL)
+        for x, (_, support, w) in zip((a, b), pair.splits):
+            assert support.shape[1] == w.size == linalg.rank(x.a22), where
+
+
+def test_overflow_raises_as_gppt_does():
+    # a transform that overflows raises gppt's error
+    a = BlockMatrix(1, 1, [[1.0, 1e200], [1e200, 1e-200]])
+    b = BlockMatrix(1, 1, [[2.0, 1e200], [1e200, 1e-200]])
+    # so does a pivot whose Hermitian part overflows, rather than giving an
+    # eigen-split that calls its NaN eigenvalues zero
+    big = np.diag([1.0, 1e308, 1e308])
+    c, d = BlockMatrix(1, 2, big), BlockMatrix(1, 2, big + np.diag([1.0, 0.0, 0.0]))
+    cases = (
+        (gppt, (a,), "data"),
+        (ppt_monotonicity_report, (a, b), "data"),
+        (ppt_order_conditions, (a, b), "data"),
+        (ppt_monotonicity_report, (c, d), "matrix"),
+        (ppt_order_conditions, (c, d), "matrix"),
+        (pinv_monotone, (c.a22, d.a22), "matrix"),
+        (rank_path_constant, (c.a22, d.a22), "matrix"),
+    )
+    with np.errstate(all="ignore"):
+        for fn, args, name in cases:
+            with pytest.raises(InvalidInputError) as info:
+                fn(*args)
+            assert str(info.value) == f"{name} contains non-finite entries", fn.__name__
+
+
+def test_pair_verdicts_match_public_primitives():
+    # every verdict the monotonicity suite reads off one pair, recomputed
+    # from the public primitives on the same arrays
+    for where, a, b in _seeded_pairs(60606):
+        a22, b22 = a.a22, b.a22
+        pair = _OrderPair.of_blocks(a, b, DEFAULT_TOL)
+        report = pair.report()
+        assert report.hypothesis_ok == loewner_leq(a.data, b.data), where
+        assert report.ppt_ordered == loewner_leq(jppt(a).data, jppt(b).data), where
+        assert report.pinv_reversed == loewner_leq(pinv(b22), pinv(a22)), where
+        schur_ordered = loewner_leq(schur_complement(a), schur_complement(b))
+        assert report.schur_ordered == schur_ordered, where
+        assert report.rank_path == rank_path_constant(a22, b22, require_order=False), where
+        sampled = pair.rank_path_sampled()
+        assert sampled == rank_path_sampled(a22, b22), where
+        assert sampled.constant == report.rank_path.constant, where
+        pm = pair.pinv_monotone()
+        ker_equal = subspace_eq(kernel_basis(a22), kernel_basis(b22))
+        inertia_equal = inertia(a22).n_neg == inertia(b22).n_neg
+        assert (pm.ker_equal, pm.inertia_equal) == (ker_equal, inertia_equal), where
+        assert pm == pinv_monotone(a22, b22), where
+        conditions = pair.order_conditions()
+        ga, gb = gppt(a), gppt(b)
+        dp = hermitian_part(ga.a22 - gb.a22)
+        dp_pinv = pinv(dp)
+        g, gr = gb.a12 - ga.a12, ga.a21 - gb.a21
+        s = hermitian_part(gb.a11 - ga.a11 - g @ dp_pinv @ gr)
+        assert conditions.pinv_leq == report.pinv_reversed, where
+        assert conditions.ker_incl == (
+            max_abs(g - g @ dp_pinv @ dp) <= DEFAULT_TOL.scaled_eq_tol(g, dp)
+        ), where
+        assert conditions.residual_psd == is_psd(s), where
+        assert conditions == ppt_order_conditions(a, b), where
