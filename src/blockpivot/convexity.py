@@ -11,10 +11,10 @@ verdict rather than a bare boolean, so failures are inspectable.
 Every gap is evaluated on a concavity segment: the pair is checked once
 when the segment is built, and each gap kind is evaluated for a whole
 vector of t at once.  The endpoints and the mixed matrices of all the t
-values form one stack, transformed with one stacked SVD, and one stacked
-``eigvalsh`` decides every gap of that kind.  The public functions are the
-one-t case; the concavity suite builds one segment per pair and evaluates
-each gap kind once, at all of its t values.
+values form one stack, transformed with one stacked SVD that also gives
+the endpoints' kernels, and one stacked ``eigvalsh`` decides every gap of
+that kind.  The public functions are the one-t case; the concavity suite
+builds one segment per pair and evaluates each gap kind once.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ import numpy as np
 from .blockmat import BlockMatrix, check_hermitian_block_pair
 from .errors import InvalidInputError, PreconditionError
 from .linalg import (
-    _loewner_leq,
+    SubspaceBasis,
+    _hermitian,
     _pinv_stack,
+    _psd_verdict,
+    adjoint,
     check_hermitian_pair,
     check_square_pair,
-    kernel_basis,
     subspace_eq,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -61,20 +63,8 @@ def _check_t(t: float) -> float:
 def _check_psd(c: np.ndarray, d: np.ndarray, tol: ToleranceConfig) -> None:
     """Require the validated Hermitian arrays C and D to be PSD."""
     for name, m in (("first", c), ("second", d)):
-        if not _loewner_leq(np.zeros_like(m), m, tol):
+        if not _psd_verdict(np.linalg.eigvalsh(_hermitian(m)), tol):
             raise PreconditionError(f"the {name} matrix must be positive semidefinite")
-
-
-def _check_psd_equal_kernels(c, d, kc, kd, what: str, tol: ToleranceConfig) -> None:
-    """Require C and D PSD, and equal kernels of KC and KD (named ``what``)."""
-    _check_psd(c, d, tol)
-    if not subspace_eq(kernel_basis(kc, tol), kernel_basis(kd, tol), tol):
-        raise PreconditionError(f"{what} must have equal kernels")
-
-
-def _check_concavity_pair(a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig):
-    check_hermitian_block_pair(a, b, tol)
-    _check_psd_equal_kernels(a.data, b.data, a.a22, b.a22, "pivot blocks", tol)
 
 
 def _weights(ts) -> np.ndarray:
@@ -82,75 +72,73 @@ def _weights(ts) -> np.ndarray:
     return np.array([_check_t(t) for t in ts], dtype=np.float64).reshape(-1, 1, 1)
 
 
-def _hermitian_parts(stack: np.ndarray) -> np.ndarray:
-    """(M + M^H) / 2 of each matrix of a stack, as ``hermitian_part`` forms it."""
-    return (stack + stack.conj().swapaxes(-1, -2)) / 2.0
-
-
 def _psd_verdicts(gaps: np.ndarray, tol: ToleranceConfig) -> list[GapResult]:
     """Each gap's Hermitian part and whether it is PSD within psd_tol.
 
     The Hermitian parts are exact, so one stacked ``eigvalsh`` decides what
-    ``loewner_leq(0, g)`` would for each gap; empty gaps are PSD.
+    ``loewner_leq(0, g)`` would for each gap.
     """
-    if not gaps.size:
-        return [GapResult(g, True) for g in gaps]
     if not np.isfinite(gaps).all():
         raise InvalidInputError("matrix contains non-finite entries")
-    herm = _hermitian_parts(gaps)
-    w_min = np.linalg.eigvalsh(herm)[:, 0]
-    return [GapResult(g, bool(w >= -tol.psd_tol)) for g, w in zip(herm, w_min)]
+    herm = _hermitian(gaps)
+    psd = _psd_verdict(np.linalg.eigvalsh(herm), tol)
+    return [GapResult(g, bool(v)) for g, v in zip(herm, psd)]
 
 
 class _ConcavitySegment:
-    """The segment (1-t)X + tY of a pair whose preconditions hold.
+    """The segment (1-t)X + tY of a Hermitian PSD pair.
 
     Build it with ``of_blocks`` (block pair: jppt and Schur gaps) or
     ``of_matrices`` (plain pair: pinv gap, and ``bordered`` for the
-    embedded pair); each checks the pair once, and ``pivots`` gives the
-    plain segment of a block segment's pivot blocks.  A gap method takes a
-    sequence of t, checks every t first, then transforms the stack
-    [X, Y, mix(t_1), ...] with the stacked form of ``gppt`` or ``pinv``
-    (one SVD) and returns one GapResult per t, equal to the public one-t
-    function's.  The jppt and Schur gaps of one vector of t share one gppt
-    stack: the Schur gaps are its (1,1) blocks, and the jppt gaps are J
-    times it.
+    embedded pair); each checks that the pair is Hermitian and PSD, and
+    ``pivots`` gives the plain segment of a block segment's pivot blocks.
+    A gap method takes a sequence of t, checks every t first, then
+    transforms the stack [X, Y, mix(t_1), ...] with the stacked form of
+    ``gppt`` or ``pinv`` (one SVD), requires equal pivot kernels off its
+    rows 0 and 1, and returns one GapResult per t, equal to the public
+    one-t function's.  The jppt and Schur gaps of one vector of t share one
+    gppt stack: the Schur gaps are its (1,1) blocks, and the jppt gaps are
+    J times it.  ``what`` names the pair in the kernel error.
     """
 
-    def __init__(self, x, y, tol: ToleranceConfig):
+    def __init__(self, x, y, what: str, tol: ToleranceConfig):
         self._x = x
         self._y = y
+        self._what = what
         self._tol = tol
         self._gppt = (None, None)  # (weights, gppt stack) of the last block gaps
 
     @classmethod
     def of_blocks(cls, a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig) -> "_ConcavitySegment":
-        _check_concavity_pair(a, b, tol)
-        return cls(a, b, tol)
+        check_hermitian_block_pair(a, b, tol)
+        _check_psd(a.data, b.data, tol)
+        return cls(a, b, "pivot blocks", tol)
 
     @classmethod
-    def of_matrices(cls, c, d, tol: ToleranceConfig) -> "_ConcavitySegment":
+    def of_matrices(cls, c, d, tol: ToleranceConfig, what="the matrices") -> "_ConcavitySegment":
         ca, da = check_hermitian_pair(c, d, tol)
-        _check_psd_equal_kernels(ca, da, ca, da, "the matrices", tol)
-        return cls(ca, da, tol)
+        _check_psd(ca, da, tol)
+        return cls(ca, da, what, tol)
 
     def pivots(self) -> "_ConcavitySegment":
-        """The plain segment of a block segment's pivot blocks.
-
-        It checks them as ``of_matrices`` does, except for the equal
-        kernels, which the block pair's check compared on the same arrays.
-        """
-        ca, da = check_hermitian_pair(self._x.a22, self._y.a22, self._tol)
-        _check_psd(ca, da, self._tol)
-        return _ConcavitySegment(ca, da, self._tol)
+        """The plain segment of a block segment's pivot blocks, checked as
+        ``of_matrices`` checks."""
+        return _ConcavitySegment.of_matrices(self._x.a22, self._y.a22, self._tol, self._what)
 
     def bordered(self) -> "_ConcavitySegment":
         """The block segment of the bordered embedding of a plain pair.
 
         Bordering by zeros keeps a checked pair Hermitian and PSD, and its
-        pivot blocks are the pair itself, so it needs no second check.
+        pivot blocks are the pair itself.
         """
-        return _ConcavitySegment(*bordered_embedding(self._x, self._y), self._tol)
+        return _ConcavitySegment(*bordered_embedding(self._x, self._y), self._what, self._tol)
+
+    def _require_equal_kernels(self, vh: np.ndarray, ranks: np.ndarray) -> None:
+        """Equal kernels of the stack's first two matrices, X and Y (or their
+        pivot blocks), read off the stacked SVD's ``vh`` and ranks."""
+        kx, ky = (SubspaceBasis(vh.shape[-1], adjoint(vh[i, ranks[i]:])) for i in (0, 1))
+        if not subspace_eq(kx, ky, self._tol):
+            raise PreconditionError(f"{self._what} must have equal kernels")
 
     def _transformed(self, w: np.ndarray) -> np.ndarray:
         """gppt of the block stack [X, Y, mixes], kept for the next call with
@@ -159,7 +147,7 @@ class _ConcavitySegment:
         if kept_w is None or not np.array_equal(kept_w, w):
             x, y = self._x.data, self._y.data
             stack = np.concatenate([x[None], y[None], (1.0 - w) * x + w * y])
-            kept = _gppt_stack(stack, self._x.n1, self._tol)
+            kept = _gppt_stack(stack, self._x.n1, self._tol, self._require_equal_kernels)
             self._gppt = (w, kept)
         return kept
 
@@ -181,8 +169,9 @@ class _ConcavitySegment:
     def pinv_gaps(self, ts) -> list[GapResult]:
         w = _weights(ts)
         x, y = self._x, self._y
-        mixes = _hermitian_parts((1.0 - w) * x + w * y)
-        p = _pinv_stack(np.concatenate([x[None], y[None], mixes]), self._tol)
+        mixes = _hermitian((1.0 - w) * x + w * y)
+        stack = np.concatenate([x[None], y[None], mixes])
+        p = _pinv_stack(stack, self._tol, self._require_equal_kernels)
         return _psd_verdicts(((1.0 - w) * p[0] + w * p[1]) - p[2:], self._tol)
 
 

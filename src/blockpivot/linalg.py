@@ -5,8 +5,8 @@ value or eigenvalue v of a matrix is zero when |v| <= ``rank_rel_tol *
 max|v|`` over that matrix's values.  Pseudoinverse, rank, kernel, range,
 inertia and the Hermitian eigen-split all apply it, so criteria built on
 ``pinv`` and on eigenvalue counts call the same eigenvalues zero.
-``psd_tol`` is only the slack of the semidefinite order (``loewner_leq``,
-``is_psd``).
+``psd_tol`` is only the slack of the semidefinite order, and one function,
+``_psd_verdict``, applies it for every order and gap verdict.
 
 The pseudoinverse of a ``(k, m, n)`` stack (``_pinv_stack``) comes from one
 stacked SVD and applies the same zero test row by row, to each matrix's
@@ -141,8 +141,8 @@ def hermitian_part(m) -> np.ndarray:
 
 
 def _hermitian(arr: np.ndarray) -> np.ndarray:
-    """``hermitian_part`` of a validated square array, unchecked."""
-    return (arr + adjoint(arr)) / 2.0
+    """``hermitian_part`` of a validated square array (or stack), unchecked."""
+    return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
 
 
 def imag_part(m) -> np.ndarray:
@@ -200,21 +200,16 @@ def _nonzero(v: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 def _svd_factor(arr: np.ndarray, tol: ToleranceConfig):
     """Shared SVD with the zero test.
 
-    Returns (u, s, vh, r) where r is the numerical rank.  ``s`` is sorted
-    in decreasing order, so ``s > rank_rel_tol * s[0]`` is ``_nonzero(s)``.
-    The same cutoff feeds pinv, rank, kernel_basis and range_basis.
+    Returns (u, s, vh, r) where r is the numerical rank.  The same cutoff
+    feeds pinv, rank, kernel_basis and range_basis.
     """
     u, s, vh = np.linalg.svd(arr, full_matrices=True)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.sum(s > tol.rank_rel_tol * s[0]))
-    return u, s, vh, r
+    return u, s, vh, int(np.count_nonzero(_nonzero(s, tol)))
 
 
 def _pinv_of_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.ndarray:
-    """V_r diag(1/s_r) U_r^H from the SVD of a matrix of rank r >= 1, or
-    from the SVDs of a stack of matrices that all have rank r."""
+    """V_r diag(1/s_r) U_r^H from the SVD of a matrix of rank r (zeros at
+    r = 0), or from the SVDs of a stack of matrices that all have rank r."""
     v_r = vh[..., :r, :].conj().swapaxes(-1, -2)
     u_r_h = u[..., :, :r].conj().swapaxes(-1, -2)
     return v_r @ ((1.0 / s[..., :r])[..., :, None] * u_r_h)
@@ -222,23 +217,23 @@ def _pinv_of_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.nda
 
 def pinv(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD with relative rank cutoff."""
-    arr = as_matrix(m)
-    u, s, vh, r = _svd_factor(arr, tol)
-    if r == 0:
-        return np.zeros((arr.shape[1], arr.shape[0]), dtype=arr.dtype)
-    return _pinv_of_svd(u, s, vh, r)
+    return _pinv_of_svd(*_svd_factor(as_matrix(m), tol))
 
 
-def _pinv_stack(m: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _pinv_stack(m: np.ndarray, tol: ToleranceConfig, check=None) -> np.ndarray:
     """``pinv`` of each matrix of a validated ``(k, p, q)`` stack.
 
     One stacked SVD; the zero test takes each matrix's rank from its own
     singular values, and the matrices of each rank are assembled together.
+    ``check``, if given, sees the SVD's ``vh`` and ranks before any pseudoinverse
+    is assembled (matrix i's kernel is spanned by the rows ``vh[i, ranks[i]:]``).
     """
     k, p, q = m.shape
     out = np.zeros((k, q, p), dtype=m.dtype)
     u, s, vh = np.linalg.svd(m, full_matrices=True)
     ranks = np.count_nonzero(_nonzero(s, tol), axis=-1)
+    if check is not None:
+        check(vh, ranks)
     for r in np.unique(ranks[ranks > 0]):
         rows = ranks == r
         out[rows] = _pinv_of_svd(u[rows], s[rows], vh[rows], int(r))
@@ -339,14 +334,22 @@ def _loewner_leq(a1: np.ndarray, a2: np.ndarray, tol: ToleranceConfig) -> bool:
     the difference is not finite, and the checks raise ``loewner_leq``'s
     error.
     """
-    if a1.shape[0] == 0:
+    if a1.shape[0] == 0:  # PSD, as _psd_verdict says, with no eigvalsh
         return True
     diff = a2.astype(np.result_type(a1, a2)) - a1
     if not np.isfinite(diff).all():
         _order_operands(a1, a2, tol)
         as_matrix(diff)
-    w_min = float(np.linalg.eigvalsh(_hermitian(diff))[0])
-    return w_min >= -tol.psd_tol
+    return bool(_psd_verdict(np.linalg.eigvalsh(_hermitian(diff)), tol))
+
+
+def _psd_verdict(w: np.ndarray, tol: ToleranceConfig):
+    """The order decision, the only reader of ``psd_tol``: whether a Hermitian
+    difference is PSD, from its sorted eigenvalues ``w`` (or for each matrix
+    of a stack, one row of ``w`` each).  An empty matrix is PSD."""
+    if not w.shape[-1]:
+        return np.ones(w.shape[:-1], dtype=bool)
+    return w.T[0] >= -tol.psd_tol  # each matrix's smallest eigenvalue
 
 
 def is_psd(h, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -13,7 +13,7 @@ zero test (|eigenvalue| <= rank_rel_tol * max|eigenvalue|).  Each pivot
 block is factored once, by one eigen-split, and the pivot pseudoinverses
 of both transforms are read off that same split, so the three criteria
 call the same pivot eigenvalues zero by construction.  ``psd_tol`` is the
-slack of the semidefinite order only.
+slack of the semidefinite order only, applied by ``linalg._psd_verdict``.
 
 Each public order function checks its pair once and reads its verdict
 off a private order pair: one eigen-split per pivot block, gppt of each
@@ -51,6 +51,7 @@ from .linalg import (
     _loewner_leq,
     _nonzero,
     _pinv_of_split,
+    _psd_verdict,
     adjoint,
     check_hermitian_pair,
     hermitian_part,
@@ -275,13 +276,13 @@ class _OrderPair:
 
     def _pivots_ordered(self) -> bool:
         """C <= D within psd_tol."""
-        return self._c.shape[0] == 0 or float(self.step[0]) >= -self._tol.psd_tol
+        return bool(_psd_verdict(self.step, self._tol))
 
     def _require_semidefinite_step(self) -> None:
         """The grid oracles' precondition: D - C is PSD or NSD within psd_tol,
         so every sorted eigenvalue of the segment is monotone in t."""
-        w, slack = self.step, self._tol.psd_tol
-        if w.size and w[0] < -slack and w[-1] > slack:
+        w = self.step
+        if not _psd_verdict(w, self._tol) and not _psd_verdict(-w[::-1], self._tol):
             raise PreconditionError("the grid oracles require C <= D or D <= C")
 
     @cached_property

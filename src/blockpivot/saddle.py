@@ -10,9 +10,9 @@ any semidefiniteness assumption when the range and kernel inclusions
 hold.
 
 Each public routine builds a private saddle instance that factors A once
-(the pseudoinverse of A22 and the kernel basis of A22) and certifies the
-minimization hypotheses once; the saddle suite asks one instance for its
-solution, its minimum and every objective value.
+(one SVD of A22 gives its pseudoinverse and kernel basis) and certifies
+the minimization hypotheses once; the saddle suite asks one instance for
+its solution, its minimum and every objective value.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from .blockmat import BlockMatrix
 from .errors import InvalidInputError, NoSolutionError, PreconditionError
 from .linalg import (
     SubspaceBasis,
+    _pinv_of_svd,
+    _svd_factor,
     adjoint,
     as_vector,
-    kernel_basis,
     loewner_leq,
     max_abs,
-    pinv,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .transforms import _gppt_formula, signature_matrix
@@ -131,11 +131,12 @@ def _ppt_min_value(jg: np.ndarray, z: np.ndarray, tol: ToleranceConfig) -> float
 class _SaddleInstance:
     """A partitioned matrix A factored once for the variational routines.
 
-    On first use it keeps A22^+ (one SVD), gppt(A) built from it, and the
-    kernel basis of A22 (one SVD), and it certifies the minimization
-    hypotheses once.  The public routines build one instance per call and
-    raise the same errors in the same order; the saddle suite asks one
-    instance for its solution, its minimum and every objective value.
+    On first use it keeps one SVD of A22, reads A22^+ and the kernel basis
+    of A22 off it as ``pinv`` and ``kernel_basis`` do, builds gppt(A) from
+    A22^+, and certifies the minimization hypotheses once.  The public
+    routines build one instance per call and raise the same errors in the
+    same order; the saddle suite asks one instance for its solution, its
+    minimum and every objective value.
     """
 
     def __init__(self, a: BlockMatrix, tol: ToleranceConfig):
@@ -144,8 +145,12 @@ class _SaddleInstance:
         self._certified = False
 
     @cached_property
+    def _svd(self):
+        return _svd_factor(self._a.a22, self._tol)
+
+    @cached_property
     def _p(self) -> np.ndarray:
-        return pinv(self._a.a22, self._tol)
+        return _pinv_of_svd(*self._svd)
 
     @cached_property
     def _g(self) -> BlockMatrix:
@@ -155,7 +160,8 @@ class _SaddleInstance:
 
     @cached_property
     def _kernel(self) -> SubspaceBasis:
-        return kernel_basis(self._a.a22, self._tol)
+        _, _, vh, r = self._svd
+        return SubspaceBasis(self._a.n2, adjoint(vh[r:]))
 
     def certify_min(self) -> BlockMatrix:
         """gppt(A), once the minimization hypotheses are certified."""

@@ -7,9 +7,9 @@ Three knobs cover all predicates, each with one meaning:
   ``|v| <= rank_rel_tol * max|v|`` over that matrix's values.  ``linalg``
   decides it, for pinv, rank, kernel and range bases, inertia and every
   rank, kernel and singularity test built on them.
-* ``psd_tol`` -- absolute slack of the semidefinite order: ``loewner_leq``
-  and ``is_psd`` accept a smallest eigenvalue of the difference down to
-  ``-psd_tol``.
+* ``psd_tol`` -- absolute slack of the semidefinite order, applied by one
+  ``linalg`` function for every order and gap verdict: a difference is PSD
+  when its smallest eigenvalue is at least ``-psd_tol``.
 * ``eq_tol`` -- residual threshold for equality of matrices and for
   inclusion certificates, applied relative to ``1 + max|entry|``.
 

@@ -58,10 +58,10 @@ def _gppt_formula(data: np.ndarray, n1: int, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gppt_stack(data: np.ndarray, n1: int, tol: ToleranceConfig) -> np.ndarray:
+def _gppt_stack(data: np.ndarray, n1: int, tol: ToleranceConfig, check=None) -> np.ndarray:
     """``gppt(...).data`` of each matrix of a validated ``(k, n, n)`` stack
-    with partition (n1, n - n1), from one stacked SVD of the pivot blocks."""
-    return _gppt_formula(data, n1, _pinv_stack(data[:, n1:, n1:], tol))
+    with partition (n1, n - n1), from one ``_pinv_stack`` of the pivot blocks."""
+    return _gppt_formula(data, n1, _pinv_stack(data[:, n1:, n1:], tol, check))
 
 
 def gppt(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:

@@ -158,6 +158,51 @@ def test_segment_gaps_equal_public_gaps():
                 assert seg_gap.psd == public_gap.psd
 
 
+def _bordered_pair(c, d):
+    """The block pairs diag(1, C) and diag(1, D), with partition (1, m)."""
+    m = c.shape[0]
+    a, b = np.eye(m + 1, dtype=c.dtype), np.eye(m + 1, dtype=d.dtype)
+    a[1:, 1:] = c
+    b[1:, 1:] = d
+    return BlockMatrix(1, m, a), BlockMatrix(1, m, b)
+
+
+@pytest.mark.parametrize(
+    "c, d",
+    [
+        (np.diag([0.0, 1.0]), np.diag([1.0, 1.0])),
+        (np.diag([2.0, 1.0, 0.0]).astype(complex), np.diag([0.0, 1.0, 3.0]).astype(complex)),
+        # a subnormal pivot: its pseudoinverse would overflow, so a gap formed
+        # before the kernel check would fail as non-finite instead
+        (np.diag([1e-320, 0.0]), np.diag([0.0, 1e-320])),
+    ],
+    ids=["real", "complex", "subnormal"],
+)
+def test_kernel_mismatch_raises_before_any_gap(c, d):
+    # a PSD pair whose pivot kernels differ raises the kernel error on every
+    # path, after t, the Hermitian and the PSD checks, and before any
+    # pseudoinverse is assembled, so no overflow is raised first
+    a, b = _bordered_pair(c, d)
+    ts = [0.25, 0.5]
+    blocks = "pivot blocks must have equal kernels"
+    plain = "the matrices must have equal kernels"
+    paths = (
+        (lambda: jppt_concavity_gap(a, b, 0.5), blocks),
+        (lambda: schur_concavity_gap(a, b, 0.5), blocks),
+        (lambda: pinv_convexity_gap(c, d, 0.5), plain),
+        (lambda: _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL).jppt_gaps(ts), blocks),
+        (lambda: _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL).schur_gaps(ts), blocks),
+        (lambda: _ConcavitySegment.of_matrices(c, d, DEFAULT_TOL).pinv_gaps(ts), plain),
+        (lambda: _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL).pivots().pinv_gaps(ts), blocks),
+        (lambda: _ConcavitySegment.of_matrices(c, d, DEFAULT_TOL).bordered().jppt_gaps(ts), plain),
+    )
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for path, text in paths:
+            with pytest.raises(PreconditionError) as info:
+                path()
+            assert str(info.value) == text
+
+
 def test_segment_checks_every_t_before_factoring(monkeypatch):
     rng = Xoshiro256pp(779)
     a, b = rand_psd_pair_same_kernel(GenSpec(2, 2, "complex", rng.next_uint64()))
@@ -212,24 +257,26 @@ def test_gaps_decompose_each_pair_once(monkeypatch):
         fn(*args)
         return counts["svd"], counts["eigvalsh"]
 
-    # per trial: the generator (2 SVDs), the block pair check (2 kernel SVDs,
-    # 2 eigvalsh), the pivots' PSD checks (2 eigvalsh; their kernels were
-    # compared by the block pair check), one stacked gppt shared by the jppt
-    # and Schur gaps, one stacked SVD each for the pinv and bordered gaps,
-    # and one stacked eigvalsh per gap kind over the endpoints and all 14
-    # values of t.  Checking the pivots' kernels again and transforming the
-    # block stack once per gap kind ran 10 SVDs; per-t segment calls ran 72
-    # SVDs and 62 eigvalsh, and per-t public gap calls 282 and 168.
+    # per trial: the generator (2 SVDs), the block pair's PSD checks (2
+    # eigvalsh), the pivots' PSD checks (2 eigvalsh), one stacked gppt shared
+    # by the jppt and Schur gaps, one stacked SVD each for the pinv and
+    # bordered gaps, and one stacked eigvalsh per gap kind over the endpoints
+    # and all 14 values of t.  Each stacked SVD also gives its endpoints'
+    # kernels.  Comparing the kernels with two SVDs of their own ran 7 SVDs;
+    # transforming the block stack once per gap kind as well ran 10; per-t
+    # segment calls ran 72 SVDs and 62 eigvalsh, and per-t public gap calls
+    # 282 and 168.
     svds, eigs = run(_concavity_trial, 12345, DEFAULT_TOL)
-    assert svds <= 7 and eigs <= 8
-    # a one-shot call checks the pair (2 kernel SVDs) and transforms a stack
-    # of three matrices (1 SVD); it ran 5 SVDs before the stacked segment
+    assert svds <= 5 and eigs <= 8
+    # a one-shot call transforms a stack of three matrices (1 SVD) and reads
+    # the pair's kernels off it; it ran 3 SVDs with a kernel check of its
+    # own, and 5 before the stacked segment
     rng = Xoshiro256pp(4343)
     for fld in ("real", "complex"):
         a, b = rand_psd_pair_same_kernel(GenSpec(2, 3, fld, rng.next_uint64()))
-        assert run(jppt_concavity_gap, a, b, 0.3)[0] <= 5
-        assert run(schur_concavity_gap, a, b, 0.3)[0] <= 5
-        assert run(pinv_convexity_gap, a.a22, b.a22, 0.3)[0] <= 5
+        assert run(jppt_concavity_gap, a, b, 0.3)[0] <= 1
+        assert run(schur_concavity_gap, a, b, 0.3)[0] <= 1
+        assert run(pinv_convexity_gap, a.a22, b.a22, 0.3)[0] <= 1
 
 
 def test_equal_kernel_hypothesis_is_needed():

@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import blockpivot
 from blockpivot import (
     DEFAULT_TOL,
     InvalidInputError,
@@ -27,7 +31,7 @@ from blockpivot import (
     subspace_eq,
     subspace_leq,
 )
-from blockpivot.linalg import _pinv_stack, as_matrix, as_vector
+from blockpivot.linalg import _pinv_stack, _psd_verdict, as_matrix, as_vector
 from blockpivot.rng import Xoshiro256pp
 
 
@@ -215,6 +219,36 @@ def test_is_psd():
     assert is_psd(np.eye(2))
     assert not is_psd(-np.eye(2))
     assert is_psd(np.zeros((2, 2)))
+
+
+def test_psd_verdict_of_one_matrix_and_of_a_stack():
+    slack = DEFAULT_TOL.psd_tol
+    assert _psd_verdict(np.array([-slack, 1.0]), DEFAULT_TOL)
+    assert not _psd_verdict(np.array([-2.0 * slack, 1.0]), DEFAULT_TOL)
+    assert _psd_verdict(np.zeros(0), DEFAULT_TOL)
+    w = np.array([[-1.0, 0.0], [0.0, 1.0], [-slack, -slack]])
+    assert _psd_verdict(w, DEFAULT_TOL).tolist() == [False, True, True]
+    assert _psd_verdict(np.zeros((3, 0)), DEFAULT_TOL).tolist() == [True] * 3
+
+
+def test_psd_tol_is_read_in_one_function():
+    # one function decides the order slack, so a change of policy has one
+    # place to go; the CLI only turns --psd-tol into a ToleranceConfig and
+    # echoes it back, so it is not scanned
+    readers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Attribute) and node.attr == "psd_tol" and isinstance(node.ctx, ast.Load):
+            readers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(blockpivot.__file__).parent.glob("*.py")):
+        if path.name != "cli.py":
+            visit(ast.parse(path.read_text()), path.stem)
+    assert readers == {"linalg._psd_verdict"}
 
 
 def test_is_ep():

@@ -108,24 +108,34 @@ _MISMATCH_TEXT = "partition mismatch: (1, 1) vs (2, 0)"
 _NOT_HERMITIAN = "both matrices must be Hermitian"
 _SIZES = "need square matrices of equal size, got (2, 2) and (3, 3)"
 _GRID = "the grid oracles require C <= D or D <= C"
+_ORDER = "requires C <= D in the semidefinite order"
+_RANK_PATH = "rank path analysis requires C <= D"
+
+
+def _rejection(n, fn, args, error, message):
+    """One rejection case, under the id pytest generated for row n when the
+    ids were positional; the id is explicit, so adding or deleting a row
+    renames no other case.  A new row takes the next unused n."""
+    return pytest.param(fn, args, error, message, id=f"{fn.__name__}-args{n}-{error.__name__}-{message}")
+
 
 _REJECTIONS = (
-    # (function, arguments, error type, message)
-    (ppt_monotonicity_report, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
-    (ppt_order_conditions, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
-    (schur_difference_identity, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
-    (ppt_monotonicity_report, _SKEWED_BLOCKS, PreconditionError, _NOT_HERMITIAN),
-    (pinv_monotone, _SKEWED, PreconditionError, _NOT_HERMITIAN),
-    (rank_path_constant, _SKEWED, PreconditionError, _NOT_HERMITIAN),
-    (rank_path_sampled, _SKEWED, PreconditionError, _NOT_HERMITIAN),
-    (det_sign_path_check, _SKEWED, PreconditionError, _NOT_HERMITIAN),
-    (spectral_path_check, _SKEWED, PreconditionError, _NOT_HERMITIAN),
-    (pinv_monotone, (np.eye(2), np.eye(3)), InvalidInputError, _SIZES),
-    (rank_path_sampled, (np.eye(2), np.eye(3)), InvalidInputError, _SIZES),
-    (pinv_monotone, _UNORDERED, PreconditionError, "requires C <= D in the semidefinite order"),
-    (rank_path_constant, _UNORDERED, PreconditionError, "rank path analysis requires C <= D"),
-    (rank_path_sampled, _INDEFINITE_STEP, PreconditionError, _GRID),
-    (det_sign_path_check, _INDEFINITE_STEP, PreconditionError, _GRID),
+    # (id number, function, arguments, error type, message)
+    _rejection(0, ppt_monotonicity_report, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
+    _rejection(1, ppt_order_conditions, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
+    _rejection(2, schur_difference_identity, _MISMATCH, InvalidInputError, _MISMATCH_TEXT),
+    _rejection(3, ppt_monotonicity_report, _SKEWED_BLOCKS, PreconditionError, _NOT_HERMITIAN),
+    _rejection(4, pinv_monotone, _SKEWED, PreconditionError, _NOT_HERMITIAN),
+    _rejection(5, rank_path_constant, _SKEWED, PreconditionError, _NOT_HERMITIAN),
+    _rejection(6, rank_path_sampled, _SKEWED, PreconditionError, _NOT_HERMITIAN),
+    _rejection(7, det_sign_path_check, _SKEWED, PreconditionError, _NOT_HERMITIAN),
+    _rejection(8, spectral_path_check, _SKEWED, PreconditionError, _NOT_HERMITIAN),
+    _rejection(9, pinv_monotone, (np.eye(2), np.eye(3)), InvalidInputError, _SIZES),
+    _rejection(10, rank_path_sampled, (np.eye(2), np.eye(3)), InvalidInputError, _SIZES),
+    _rejection(11, pinv_monotone, _UNORDERED, PreconditionError, _ORDER),
+    _rejection(12, rank_path_constant, _UNORDERED, PreconditionError, _RANK_PATH),
+    _rejection(13, rank_path_sampled, _INDEFINITE_STEP, PreconditionError, _GRID),
+    _rejection(14, det_sign_path_check, _INDEFINITE_STEP, PreconditionError, _GRID),
 )
 
 
@@ -338,9 +348,10 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
     # pivot difference, and the difference identity adds pinv(B22 - A22)
     # and the Schur complement of B - A (they ran 2, 3 and 5 when each
     # gppt ran its own SVD), with its kernel/range certificates from eigh; the
-    # minimizers' kernel basis is the saddle routines' second SVD; the
-    # polarization reconstruction certifies and factors once per call (it
-    # used to run ppt_min, 2 SVDs, for each of its n(n+1)/2 or n^2 values)
+    # saddle routines read A22^+ and the minimizers' kernel basis off one SVD
+    # (they ran 2, one for each); the polarization reconstruction certifies
+    # and factors once per call (it used to run ppt_min, 2 SVDs, for each of
+    # its n(n+1)/2 or n^2 values)
     calls = []
     svd = np.linalg.svd
 
@@ -375,19 +386,20 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
             (ep_congruence_schur, (h,), 1),
             (jppt_im_congruence, (h,), 1),
             (block_diagonalize, (s,), 1),
-            (schur_min, (s, x1), 2),
-            (ppt_min, (s, x1, y2), 2),
-            (solve_saddle, (s, x1, y2), 2),
+            (schur_min, (s, x1), 1),
+            (ppt_min, (s, x1, y2), 1),
+            (solve_saddle, (s, x1, y2), 1),
             (reconstruct_jppt_from_minima, (s,), 1),
         ):
             assert svd_count(fn, *args) <= limit, fn.__name__
     # one gppt, then one SVD in is_ep and one in each congruence
     # (seed 12345 takes the Im-PSD branch)
     assert svd_count(_ep_congruence_trial, 12345, DEFAULT_TOL) <= 4
-    # one saddle instance: gppt and the pivot kernel basis serve the
-    # solution, the minimum and all 11 objective values (it ran 15 SVDs,
-    # one pinv per objective call)
-    assert svd_count(_saddle_trial, 12345, DEFAULT_TOL) <= 2
+    # one saddle instance: one SVD of A22 gives gppt and the pivot kernel
+    # basis, which serve the solution, the minimum and all 11 objective
+    # values (it ran 2 with a kernel SVD of its own, and 15 with one pinv
+    # per objective call)
+    assert svd_count(_saddle_trial, 12345, DEFAULT_TOL) <= 1
     # a crossing rank path costs no SVD either
     a, b = rand_ordered_pair(CROSSING_PAIRS[0], "generic")
     assert not ppt_monotonicity_report(a, b).rank_path.constant
