@@ -20,7 +20,7 @@ import numpy as np
 
 from .blockmat import BlockMatrix
 from .errors import InvalidInputError
-from .linalg import SubspaceBasis, adjoint, pinv
+from .linalg import SubspaceBasis, _hermitian, adjoint, pinv
 from .rng import Xoshiro256pp
 from .tolerances import DEFAULT_TOL
 
@@ -81,12 +81,8 @@ def _draw_matrix(rng: Xoshiro256pp, rows: int, cols: int, field: str, magnitude:
     return rng.uniform_sym(count, magnitude).reshape(rows, cols)
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + adjoint(m)) / 2.0
-
-
 def _gram(m: np.ndarray) -> np.ndarray:
-    return _hermitize(adjoint(m) @ m)
+    return _hermitian(adjoint(m) @ m)
 
 
 def _orthonormal_columns(
@@ -147,7 +143,7 @@ def rand_hermitian(spec: GenSpec) -> BlockMatrix:
     """A Hermitian matrix: one n x n draw, then exact symmetrization."""
     rng = Xoshiro256pp(spec.seed)
     m = _draw_matrix(rng, spec.n, spec.n, spec.field, spec.magnitude)
-    return BlockMatrix(spec.n1, spec.n2, _hermitize(m))
+    return BlockMatrix(spec.n1, spec.n2, _hermitian(m))
 
 
 def rand_with_invertible_pivot(spec: GenSpec) -> BlockMatrix:
@@ -186,7 +182,7 @@ def rand_psd_with_kernel(spec: GenSpec, kernel: SubspaceBasis) -> np.ndarray:
         return np.zeros((ambient, ambient), dtype=dtype)
     q = _orthonormal_columns(rng, ambient, r, spec.field, spec.magnitude, avoid=kernel.vectors)
     lam = rng.uniform(r, spec.magnitude / 100.0, spec.magnitude)
-    return _hermitize(q @ (lam[:, None] * adjoint(q)))
+    return _hermitian(q @ (lam[:, None] * adjoint(q)))
 
 
 def _assemble_hermitian(n1: int, n2: int, a11, a12, a22) -> BlockMatrix:
@@ -205,7 +201,7 @@ def _psd_with_given_22(rng: Xoshiro256pp, n1: int, n2: int, field: str, magnitud
     coupling = _draw_matrix(rng, n1, n2, field, magnitude)
     d12 = coupling @ d22
     s = _gram(_draw_matrix(rng, n1 + 1, n1, field, magnitude))
-    d11 = _hermitize(s + d12 @ pinv(d22, DEFAULT_TOL) @ adjoint(d12))
+    d11 = _hermitian(s + d12 @ pinv(d22, DEFAULT_TOL) @ adjoint(d12))
     return _assemble_hermitian(n1, n2, d11, d12, d22)
 
 
@@ -237,7 +233,7 @@ def rand_ordered_pair(spec: GenSpec, mode: str) -> tuple[BlockMatrix, BlockMatri
     field, mag = spec.field, spec.magnitude
 
     if mode == "generic":
-        a = _hermitize(_draw_matrix(rng, n, n, field, mag))
+        a = _hermitian(_draw_matrix(rng, n, n, field, mag))
         bump = _gram(_draw_matrix(rng, n + 1, n, field, mag))
         return BlockMatrix(n1, n2, a), BlockMatrix(n1, n2, a + bump)
 
@@ -246,9 +242,9 @@ def rand_ordered_pair(spec: GenSpec, mode: str) -> tuple[BlockMatrix, BlockMatri
         frame = _orthonormal_columns(rng, n2, r22, field, mag)
         signs = np.array([1.0 if rng.randint(2) == 0 else -1.0 for _ in range(r22)])
         lam = rng.uniform(r22, mag / 10.0, mag) * signs
-        a22 = _hermitize(frame @ (lam[:, None] * adjoint(frame)))
+        a22 = _hermitian(frame @ (lam[:, None] * adjoint(frame)))
         a12 = _draw_matrix(rng, n1, n2, field, mag)
-        a11 = _hermitize(_draw_matrix(rng, n1, n1, field, mag))
+        a11 = _hermitian(_draw_matrix(rng, n1, n1, field, mag))
         a = _assemble_hermitian(n1, n2, a11, a12, a22)
         l1 = _draw_matrix(rng, n + 1, n1, field, mag)
         coeff = _draw_matrix(rng, n + 1, r22, field, mag)
@@ -280,14 +276,14 @@ def rand_ordered_pair(spec: GenSpec, mode: str) -> tuple[BlockMatrix, BlockMatri
     else:
         diag_a = np.concatenate([[0.0], mu])
         diag_b = np.concatenate([[alpha], mu + delta])
-    a22 = _hermitize(frame @ (diag_a[:, None] * adjoint(frame)))
-    b22 = _hermitize(frame @ (diag_b[:, None] * adjoint(frame)))
+    a22 = _hermitian(frame @ (diag_a[:, None] * adjoint(frame)))
+    b22 = _hermitian(frame @ (diag_b[:, None] * adjoint(frame)))
     a12 = _draw_matrix(rng, n1, n2, field, mag)
-    a11 = _hermitize(_draw_matrix(rng, n1, n1, field, mag))
+    a11 = _hermitian(_draw_matrix(rng, n1, n1, field, mag))
     a = _assemble_hermitian(n1, n2, a11, a12, a22)
-    d22 = _hermitize(b22 - a22)
+    d22 = _hermitian(b22 - a22)
     diff = _psd_with_given_22(rng, n1, n2, field, mag, d22)
-    b = BlockMatrix(n1, n2, _hermitize(a.data + diff.data))
+    b = BlockMatrix(n1, n2, _hermitian(a.data + diff.data))
     return a, b
 
 
@@ -313,7 +309,7 @@ def rand_psd_pair_same_kernel(
     def one_psd() -> BlockMatrix:
         frame = _orthonormal_columns(rng, n2, r, field, mag, avoid=kernel)
         lam = rng.uniform(r, mag / 10.0, mag)
-        x22 = _hermitize(frame @ (lam[:, None] * adjoint(frame)))
+        x22 = _hermitian(frame @ (lam[:, None] * adjoint(frame)))
         return _psd_with_given_22(rng, n1, n2, field, mag, x22)
 
     a = one_psd()
@@ -328,7 +324,7 @@ def rand_psd_pair_same_kernel(
         # value to set the relative rank cutoff's scale
         l2 = np.zeros_like(l2)
     bump = _gram(np.concatenate([l1, l2], axis=1))
-    b = BlockMatrix(n1, n2, _hermitize(a.data + bump))
+    b = BlockMatrix(n1, n2, _hermitian(a.data + bump))
     return a, b
 
 
@@ -346,7 +342,7 @@ def rand_im_psd(spec: GenSpec) -> BlockMatrix:
     rng = Xoshiro256pp(spec.seed)
     n1, n2, n = spec.n1, spec.n2, spec.n
     mag = spec.magnitude
-    h = _hermitize(_draw_matrix(rng, n, n, "complex", mag))
+    h = _hermitian(_draw_matrix(rng, n, n, "complex", mag))
     factor = _draw_matrix(rng, n, n, "complex", mag)
     if n2 >= 1 and rng.randint(2) == 1:
         k = 1 + rng.randint(n2)
@@ -374,12 +370,12 @@ def rand_saddle_instance(spec: GenSpec, hermitian: bool = True) -> BlockMatrix:
     r = rng.randint(n2 + 1) if n2 else 0
     frame = _orthonormal_columns(rng, n2, r, field, mag)
     lam = rng.uniform(r, mag / 10.0, mag)
-    a22 = _hermitize(frame @ (lam[:, None] * adjoint(frame)))
+    a22 = _hermitian(frame @ (lam[:, None] * adjoint(frame)))
     right = _draw_matrix(rng, n2, n1, field, mag)
     a21 = a22 @ right
     if hermitian:
         a12 = adjoint(a21)
-        a11 = _hermitize(_draw_matrix(rng, n1, n1, field, mag))
+        a11 = _hermitian(_draw_matrix(rng, n1, n1, field, mag))
     else:
         a11 = _draw_matrix(rng, n1, n1, field, mag)
         left = _draw_matrix(rng, n1, n2, field, mag)

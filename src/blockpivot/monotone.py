@@ -10,20 +10,20 @@ arithmetic, so the report carries a consistency verdict.
 This module decides no zero of its own: kernels, ranks, negative
 eigenvalue counts and the singularity of the pencil come from ``linalg``'s
 zero test (|eigenvalue| <= rank_rel_tol * max|eigenvalue|).  Each pivot
-block is factored once, by one eigen-split, and the pivot pseudoinverses
-of both transforms are read off that same split, so the three criteria
-call the same pivot eigenvalues zero by construction.  ``psd_tol`` is the
+block is factored once, by one eigen-split, and every pseudoinverse, rank
+and singularity verdict is read off an eigen-split (only
+``albert_psd_conditions`` runs an SVD), so the three criteria call the
+same pivot eigenvalues zero by construction.  ``psd_tol`` is the
 slack of the semidefinite order only, applied by ``linalg._psd_verdict``.
 
 Each public order function checks its pair once and reads its verdict
 off a private order pair: one eigen-split per pivot block, gppt of each
 operand built from it, and one eigvalsh of the pivot difference D - C,
-which decides both C <= D and the grid oracles' precondition.  An order
-report runs no SVD.  A block pair is checked as a whole, and its pivot
-routines work on the Hermitian parts of A22 and B22, so every order
-function accepts the same block pairs.  The monotonicity suite reads all
-of its verdicts off one pair, so each of its pairs is checked and
-factored once.
+which decides both C <= D and the grid oracles' precondition.  A block
+pair is checked as a whole, and its pivot routines work on the Hermitian
+parts of A22 and B22, so every order function accepts the same block
+pairs.  The monotonicity suite reads all of its verdicts off one pair, so
+each of its pairs is checked and factored once.
 
 Grid oracles are provided as independent cross-checks of the
 deterministic verdicts.  They require C <= D or D <= C, certified by one
@@ -57,11 +57,10 @@ from .linalg import (
     hermitian_part,
     loewner_leq,
     max_abs,
-    pinv,
     subspace_eq,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .transforms import _gppt_formula, gppt, schur_complement, signature_matrix
+from .transforms import _gppt_formula, gppt, signature_matrix
 
 __all__ = [
     "RankPathReport",
@@ -96,10 +95,16 @@ def _segment_spectra(ca: np.ndarray, da: np.ndarray, tol: ToleranceConfig, point
     if points < 1:
         raise InvalidInputError(f"points must be at least 1, got {points}")
     ts = np.linspace(0.0, 1.0, points)
+    return (ts, *_spectra_at(ca, da, tol, ts))
+
+
+def _spectra_at(ca: np.ndarray, da: np.ndarray, tol: ToleranceConfig, ts: np.ndarray):
+    """Sorted eigenvalues of (1-t)C + tD at each t of ``ts``, from one
+    stacked eigvalsh, with each sample's rank and nonzero mask."""
     stack = (1.0 - ts)[:, None, None] * _hermitian(ca) + ts[:, None, None] * _hermitian(da)
     w = np.linalg.eigvalsh(stack)
     nz = _nonzero(w, tol)
-    return ts, w, nz.sum(axis=1), nz
+    return w, nz.sum(axis=1), nz
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +283,15 @@ class _OrderPair:
         """C <= D within psd_tol."""
         return bool(_psd_verdict(self.step, self._tol))
 
-    def _require_semidefinite_step(self) -> None:
-        """The grid oracles' precondition: D - C is PSD or NSD within psd_tol,
-        so every sorted eigenvalue of the segment is monotone in t."""
+    def _step_semidefinite(self) -> bool:
+        """D - C is PSD or NSD within psd_tol, so every sorted eigenvalue of
+        the segment is monotone in t."""
         w = self.step
-        if not _psd_verdict(w, self._tol) and not _psd_verdict(-w[::-1], self._tol):
+        return bool(_psd_verdict(w, self._tol) or _psd_verdict(-w[::-1], self._tol))
+
+    def _require_semidefinite_step(self) -> None:
+        """The grid oracles' precondition."""
+        if not self._step_semidefinite():
             raise PreconditionError("the grid oracles require C <= D or D <= C")
 
     @cached_property
@@ -296,12 +305,13 @@ class _OrderPair:
         """Terms shared by the order conditions and the difference identity.
 
         (dp = A22^+ - B22^+, dp^+, g = B12 B22^+ - A12 A22^+,
-        gr = B22^+ B21 - A22^+ A21, B/B22 - A/A22).  gppt's (2,1) block is
-        -A22^+ A21, hence the sign of gr's terms.
+        gr = B22^+ B21 - A22^+ A21, B/B22 - A/A22), dp^+ off dp's eigen-split.
+        gppt's (2,1) block is -A22^+ A21, hence the sign of gr's terms.
         """
         ga, gb = self.transforms
         dp = hermitian_part(ga.a22 - gb.a22)
-        return dp, pinv(dp, self._tol), gb.a12 - ga.a12, ga.a21 - gb.a21, gb.a11 - ga.a11
+        _, supp, w = _herm_split(dp, self._tol)
+        return dp, _pinv_of_split(supp, w), gb.a12 - ga.a12, ga.a21 - gb.a21, gb.a11 - ga.a11
 
     def report(self) -> MonotonicityReport:
         a, b, tol = self._a, self._b, self._tol
@@ -341,31 +351,54 @@ class _OrderPair:
     def rank_path(self, require_order: bool) -> RankPathReport:
         if require_order and not self._pivots_ordered():
             raise PreconditionError("rank path analysis requires C <= D")
-        c, d, tol = self._c, self._d, self._tol
-        m = c.shape[0]
-        if m == 0:
-            return RankPathReport(True, 0, None, "spectral", (0, 0))
+        m = self._c.shape[0]
         (ker_c, _, _), (ker_d, supp_d, _) = self.splits
         r0 = m - ker_c.shape[1]
         r1 = m - ker_d.shape[1]
         if not self.kernels_equal:
-            if r0 != r1:
-                witness = 0.0 if r0 < r1 else 1.0
-            else:
-                ts, _, ranks, _ = _segment_spectra(c, d, tol, 101)
-                off = np.flatnonzero(ranks[1:-1] != r0)
-                witness = float(ts[1 + off[0]]) if off.size else 0.5
+            witness = 0.0 if r0 < r1 else 1.0
+            if r0 == r1:
+                witness = self._equal_rank_witness(r0)
+                if witness is None:
+                    return RankPathReport(True, r0, None, "kernel_inertia", (r0, r1))
             return RankPathReport(False, None, witness, "kernel_inertia", (r0, r1))
-        cr = _hermitian(adjoint(supp_d) @ c @ supp_d)
-        dr = _hermitian(adjoint(supp_d) @ d @ supp_d)
-        spect = _spectral_path(cr, dr, tol)
-        if spect.no_crossing:
+        if r1 == 0:
+            return RankPathReport(True, 0, None, "spectral", (0, 0))
+        cr = _hermitian(adjoint(supp_d) @ self._c @ supp_d)
+        dr = _hermitian(adjoint(supp_d) @ self._d @ supp_d)
+        lam = np.linalg.eigvals(np.linalg.solve(dr, cr)).real
+        if np.all(lam > 0.0):
             return RankPathReport(True, r0, None, "spectral", (r0, r1))
         # (1-t)C + tD = D((1-t)D^-1 C + tI) is singular at t = lam/(lam-1),
         # which decreases in lam, so the largest crossing lam gives the first t
-        lam = max((z.real for z in spect.eigvals if z.real <= 0.0), default=0.0)
-        witness = max(0.0, lam / (lam - 1.0))
+        top = float(lam[lam <= 0.0].max())
+        witness = max(0.0, top / (top - 1.0))
         return RankPathReport(False, None, witness, "spectral", (r0, r1))
+
+    def _equal_rank_witness(self, r: int) -> float | None:
+        """A t where rank((1-t)C + tD) is not r, for kernels that differ at
+        equal endpoint ranks r, or None if there is none: the three cases
+        of ``rank_path_constant``'s route (i)."""
+        c, d, tol = self._c, self._d, self._tol
+        m = c.shape[0]
+        ts, w, ranks, _ = _segment_spectra(c, d, tol, m + 3)
+        off = np.flatnonzero(ranks[1:-1] != r)
+        if off.size:
+            return float(ts[1 + off[0]])
+        if self._step_semidefinite():
+            mags = -np.sort(-np.abs(w[1:-1]), axis=1)
+            return float(ts[1 + np.argmax(mags[:, r] / mags[:, 0])])
+        # Q^H ((1-t)C + tD) Q = diag(w_s) + (t - t_s) Q^H (D - C) Q, Q the
+        # support of the middle sample, is singular at t = t_s - 1/mu for
+        # each eigenvalue mu of diag(1/w_s) Q^H (D - C) Q
+        t_s = ts[(m + 2) // 2]
+        _, q, w_s = _herm_split((1.0 - t_s) * c + t_s * d, tol)
+        mu = np.linalg.eigvals((adjoint(q) @ (d - c) @ q) / w_s[:, None])
+        roots = (t_s - 1.0 / mu[mu != 0.0]).real
+        roots = np.sort(roots[(roots > 0.0) & (roots < 1.0)])
+        _, root_ranks, _ = _spectra_at(c, d, tol, roots)
+        drops = roots[root_ranks != r]
+        return float(drops[0]) if drops.size else None
 
     def rank_path_sampled(self, points: int = 101) -> RankPathReport:
         self._require_semidefinite_step()
@@ -422,23 +455,19 @@ def spectral_path_check(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralPat
 
     Requires D nonsingular under the zero test.  The segment determinant
     det[(1-t)C + tD] vanishes for some t in [0, 1] exactly when D^-1 C has
-    an eigenvalue in (-inf, 0].  Zero is decided on C itself, by the zero
-    test on its eigenvalues; the eigenvalues of D^-1 C only need positive
-    real parts.
+    an eigenvalue in (-inf, 0].  The singularity of C and D is read off
+    their eigen-splits, as the rank path reads it; the eigenvalues of
+    D^-1 C only need positive real parts.
     """
-    return _spectral_path(*check_hermitian_pair(c, d, tol), tol)
-
-
-def _spectral_path(ca: np.ndarray, da: np.ndarray, tol: ToleranceConfig) -> SpectralPathResult:
-    """``spectral_path_check`` of a checked Hermitian pair, unchecked."""
-    if ca.shape[0] == 0:
+    pair = _OrderPair.of_pivots(c, d, tol)
+    if pair._c.shape[0] == 0:
         return SpectralPathResult(True, True, ())
-    if not _nonzero(np.linalg.eigvalsh(_hermitian(da)), tol).all():
+    (ker_c, _, _), (ker_d, _, _) = pair.splits
+    if ker_d.shape[1]:
         raise PreconditionError("D must be invertible for the spectral path test")
-    eig = np.linalg.eigvals(np.linalg.solve(da, ca))
+    eig = np.linalg.eigvals(np.linalg.solve(pair._d, pair._c))
     real_spectrum = float(np.max(np.abs(eig.imag))) <= tol.eq_tol
-    c_nonsingular = _nonzero(np.linalg.eigvalsh(_hermitian(ca)), tol).all()
-    no_crossing = bool(c_nonsingular and np.all(eig.real > 0.0))
+    no_crossing = bool(ker_c.shape[1] == 0 and np.all(eig.real > 0.0))
     return SpectralPathResult(no_crossing, real_spectrum, tuple(eig.tolist()))
 
 
@@ -451,15 +480,21 @@ def rank_path_constant(
 ) -> RankPathReport:
     """Deterministic constant-rank verdict for the segment from C to D.
 
-    Route (i): if the kernels of C and D differ, the rank cannot be
-    constant; a witness t is the smaller-rank endpoint, or an interior
-    grid point where the rank exceeds the endpoint rank.  Route (ii):
-    with a common kernel, both matrices are compressed onto its
-    orthogonal complement, where D is invertible and the spectral
-    no-crossing test decides, and a failing segment's witness is its
-    smallest crossing in closed form: t = lam/(lam-1) for the largest real
-    part lam <= 0 among the eigenvalues of D^-1 C, or t = 0 when none is
-    (then C itself is singular).
+    Route (i), 'kernel_inertia': the kernels differ.  At unequal endpoint
+    ranks the witness is the smaller-rank endpoint.  At equal ranks r,
+    one of m + 1 interior samples (m the order) has the generic rank g,
+    since a g x g minor is a nonzero polynomial of degree <= m in t.  Under
+    C <= D or D <= C, g > r (Rellich, Hellmann-Feynman): the witness is
+    the first sample whose rank is not r, or, if the zero test reads r at
+    all of them, the one nearest to rank r + 1.  Without the order g can
+    be r (C = [[0,0,1],[0,0,0],[1,0,0]], D = [[0,0,0],[0,0,1],[0,1,0]] has
+    rank 2 on [0, 1]); the rank is then constant unless it drops at a
+    root of det(Q^H ((1-t)C + tD) Q), Q the support of a sample, which
+    holds every drop point.  Route (ii), 'spectral': with a common kernel,
+    C and D are compressed onto D's support, where their eigen-splits make
+    both nonsingular, and the rank is constant iff every eigenvalue of
+    D^-1 C has positive real part; a failing segment's witness is its
+    smallest crossing, t = lam/(lam-1) for the largest real part lam <= 0.
 
     ``require_order=False`` skips the C <= D precondition so the verdict
     can be used diagnostically.
@@ -541,39 +576,41 @@ def schur_difference_identity(
     """Closed forms for the Schur complement of B - A.
 
     Hypotheses (each certified, with a PreconditionError naming the
-    failure): the pivot blocks share kernel and range, the kernel of the
-    pivot difference is contained in the kernel of the (1,2) difference,
-    and the range of the (2,1) difference is contained in the range of
-    the pivot difference.  Under them, (B-A)/(B-A)22 equals the
-    difference of Schur complements minus a correction term, in two
-    algebraically equivalent forms whose residuals are reported.
+    failure): the Hermitian pivot blocks share their kernel, hence their
+    range, the kernel of the pivot difference is contained in the kernel
+    of the (1,2) difference, and the range of the (2,1) difference is
+    contained in the range of the pivot difference; an inclusion error
+    carries its residual as ``certificate``.  Under them, (B-A)/(B-A)22
+    equals the difference of Schur complements minus a correction term, in
+    two algebraically equivalent forms whose residuals are reported.  Each
+    pseudoinverse is read off an eigen-split; lhs is D11 - D12 D22^+ D21
+    with D22 the Hermitian part of B22 - A22.
     """
     pair = _OrderPair.of_blocks(a, b, tol)
-    a22, b22 = a.a22, b.a22
-    # the pivots are Hermitian, so each support basis spans the range
-    (_, supp_a, _), (_, supp_b, _) = pair.splits
     if not pair.kernels_equal:
         raise PreconditionError("pivot blocks must have equal kernels")
-    if not subspace_eq(SubspaceBasis(a.n2, supp_a), SubspaceBasis(a.n2, supp_b), tol):
-        raise PreconditionError("pivot blocks must have equal ranges")
-    d22 = hermitian_part(b22 - a22)
-    d22_pinv = pinv(d22, tol)
+    d22 = hermitian_part(b.a22 - a.a22)
+    _, supp, w = _herm_split(d22, tol)
+    d22_pinv = _pinv_of_split(supp, w)
     cert_tol = tol.scaled_eq_tol(a.data, b.data)
     d12 = b.a12 - a.a12
-    if max_abs(d12 - d12 @ d22_pinv @ d22) > cert_tol:
+    resid = max_abs(d12 - d12 @ d22_pinv @ d22)
+    if resid > cert_tol:
         raise PreconditionError(
-            "kernel of the pivot difference must lie in the kernel of the (1,2) difference"
+            "kernel of the pivot difference must lie in the kernel of the (1,2) difference",
+            certificate=resid,
         )
     d21 = b.a21 - a.a21
-    if max_abs(d21 - d22 @ d22_pinv @ d21) > cert_tol:
+    resid = max_abs(d21 - d22 @ d22_pinv @ d21)
+    if resid > cert_tol:
         raise PreconditionError(
-            "range of the (2,1) difference must lie in the range of the pivot difference"
+            "range of the (2,1) difference must lie in the range of the pivot difference",
+            certificate=resid,
         )
-    diff = BlockMatrix(a.n1, a.n2, b.data - a.data)
-    lhs = schur_complement(diff, tol)
+    lhs = b.a11 - a.a11 - d12 @ d22_pinv @ d21
     dp, dp_pinv, g, gr, schur_diff = pair.difference
     rhs = schur_diff - g @ dp_pinv @ gr
-    mid_alt = a22 + a22 @ d22_pinv @ a22
+    mid_alt = a.a22 + a.a22 @ d22_pinv @ a.a22
     rhs_alt = schur_diff - g @ mid_alt @ gr
     incl_tol = tol.scaled_eq_tol(g, gr, dp)
     inclusions_ok = (

@@ -226,14 +226,40 @@ def test_rank_path_routes():
     # sign flip crossing in the interior
     r3 = rank_path_constant(np.array([[-1.0]]), np.array([[1.0]]), require_order=False)
     assert not r3.constant and abs(r3.witness_t - 0.5) <= 1e-6
-    # kernels differ at equal endpoint ranks: the witness is an interior sample
+    # an ordered pair whose kernels differ at equal endpoint ranks: the
+    # witness is an interior sample
     c, d = np.diag([-1.0, 0.0]), np.diag([0.0, 1.0])
-    r4 = rank_path_constant(c, d, require_order=False)
+    r4 = rank_path_constant(c, d)
     assert not r4.constant
     assert r4.method == "kernel_inertia"
     assert r4.endpoint_ranks == (1, 1)
     w = r4.witness_t
     assert np.linalg.matrix_rank((1.0 - w) * c + w * d) != 1
+    # without the order, kernels can differ while the rank stays 2 on [0, 1]
+    c = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    d = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    r5 = rank_path_constant(c, d, require_order=False)
+    assert r5.constant and r5.common_rank == 2 and r5.witness_t is None
+    assert r5.method == "kernel_inertia" and r5.endpoint_ranks == (2, 2)
+    # with 1 and -3 appended the rank drops to 2 at t = 1/4, between the
+    # m + 1 samples k/6: the drop-point search finds it
+    c4, d4 = np.zeros((4, 4)), np.zeros((4, 4))
+    c4[:3, :3], c4[3, 3] = c, 1.0
+    d4[:3, :3], d4[3, 3] = d, -3.0
+    r6 = rank_path_constant(c4, d4, require_order=False)
+    assert not r6.constant and r6.endpoint_ranks == (3, 3)
+    assert abs(r6.witness_t - 0.25) <= 1e-12
+    # ordered, kernels differ, and the zero test reads rank 1 at every
+    # sample: the theorem still says not constant, as pinv_monotone does
+    c, d = np.diag([-1.0, 0.0]), np.diag([0.0, 1e-11])
+    assert not pinv_monotone(c, d).ker_equal
+    for args, order in (((c, d), True), ((c, d), False), ((d, c), False)):
+        r7 = rank_path_constant(*args, require_order=order)
+        assert not r7.constant and r7.method == "kernel_inertia"
+        assert 0.0 < r7.witness_t < 1.0
+    a = BlockMatrix(1, 2, np.diag([1.0, -1.0, 0.0]))
+    b = BlockMatrix(1, 2, np.diag([1.0, 0.0, 1e-11]))
+    assert ppt_monotonicity_report(a, b).consistent
 
 
 # Pairs on which minimizing the smallest singular value over a grid and
@@ -343,12 +369,8 @@ def test_order_conditions_match_direct_ordering():
 
 
 def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
-    # the report reads each pivot pseudoinverse off the pivot's eigen-split
-    # and runs no SVD; the order conditions add one pseudoinverse of the
-    # pivot difference, and the difference identity adds pinv(B22 - A22)
-    # and the Schur complement of B - A (they ran 2, 3 and 5 when each
-    # gppt ran its own SVD), with its kernel/range certificates from eigh; the
-    # saddle routines read A22^+ and the minimizers' kernel basis off one SVD
+    # the order-pair functions run no SVD (test_order_pair_functions_run_no_svd);
+    # the saddle routines read A22^+ and the minimizers' kernel basis off one SVD
     # (they ran 2, one for each); the polarization reconstruction certifies
     # and factors once per call (it used to run ppt_min, 2 SVDs, for each of
     # its n(n+1)/2 or n^2 values)
@@ -365,19 +387,13 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
         return len(calls)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    limits = ((ppt_monotonicity_report, 0), (ppt_order_conditions, 1), (schur_difference_identity, 3))
     rng = Xoshiro256pp(4242)
     for fld in ("real", "complex"):
         spec = GenSpec(1 + rng.randint(4), 1 + rng.randint(4), fld, rng.next_uint64())
         a, b = rand_ordered_pair(spec, "constant_rank")
-        for fn, limit in limits:
-            assert svd_count(fn, a, b) <= limit, fn.__name__
         # the transforms factor their pivot block once
         for fn, arg in ((pinv, a.a22), (gppt, a), (jppt, a)):
             assert svd_count(fn, arg) == 1, fn.__name__
-        # the grid oracles take eigenvalues only
-        for fn in (rank_path_sampled, det_sign_path_check):
-            assert svd_count(fn, a.a22, b.a22) == 0, fn.__name__
         spec = GenSpec(1 + rng.randint(4), 1 + rng.randint(4), fld, rng.next_uint64())
         h = rand_hermitian(spec)
         s = rand_saddle_instance(spec)
@@ -400,10 +416,6 @@ def test_pivot_blocks_are_decomposed_once_per_operand(monkeypatch):
     # values (it ran 2 with a kernel SVD of its own, and 15 with one pinv
     # per objective call)
     assert svd_count(_saddle_trial, 12345, DEFAULT_TOL) <= 1
-    # a crossing rank path costs no SVD either
-    a, b = rand_ordered_pair(CROSSING_PAIRS[0], "generic")
-    assert not ppt_monotonicity_report(a, b).rank_path.constant
-    assert svd_count(ppt_monotonicity_report, a, b) == 0
 
 
 def test_schur_difference_identity_exact(pair_4x4):
@@ -438,14 +450,27 @@ def test_schur_difference_hypothesis_violations():
     b = BlockMatrix(1, 2, bdat)
     with pytest.raises(PreconditionError):
         schur_difference_identity(a, b)
+
+
+def _schur_difference_inclusion_breaks():
     # pivots equal but the (1,2) difference escapes the pivot difference
-    a2 = BlockMatrix(1, 2, np.diag([0.0, 1.0, 1.0]))
     b2dat = np.diag([0.0, 1.0, 1.0])
     b2dat[0, 1] = 1.0
     b2dat[1, 0] = 1.0
-    b2 = BlockMatrix(1, 2, b2dat)
-    with pytest.raises(PreconditionError):
-        schur_difference_identity(a2, b2)
+    yield "(1,2)", BlockMatrix(1, 2, np.diag([0.0, 1.0, 1.0])), BlockMatrix(1, 2, b2dat)
+    # Hermitian at the scale of the (1,1) entry, whose (2,1) differences
+    # add up to more than the certificate threshold at that scale
+    a3 = BlockMatrix(1, 1, [[1e8, 0.0], [-0.9, 1.0]])
+    b3 = BlockMatrix(1, 1, [[1e8, 0.0], [0.9, 1.0]])
+    yield "(2,1)", a3, b3
+
+
+@pytest.mark.parametrize("which, a, b", _schur_difference_inclusion_breaks())
+def test_schur_difference_inclusion_errors_carry_certificates(which, a, b):
+    with pytest.raises(PreconditionError) as info:
+        schur_difference_identity(a, b)
+    assert which in str(info.value)
+    assert info.value.certificate > DEFAULT_TOL.scaled_eq_tol(a.data, b.data)
 
 
 def test_seam_pair_verdicts_agree():
@@ -470,13 +495,13 @@ def _lifted_seam_pair(rng):
     eps = 10.0 ** float(rng.uniform(1, -12.0, -6.0)[0])
     diag_a = np.concatenate([[eps], rng.uniform(n2 - 1, 0.1, 1.0)]) * signs
     lift = np.concatenate([rng.uniform(1, 0.1, 1.0), rng.uniform(n2 - 1, 0.0, 0.05)])
-    a22 = gen._hermitize(frame @ (diag_a[:, None] * adjoint(frame)))
-    d22 = gen._hermitize(frame @ (lift[:, None] * adjoint(frame)))
+    a22 = linalg._hermitian(frame @ (diag_a[:, None] * adjoint(frame)))
+    d22 = linalg._hermitian(frame @ (lift[:, None] * adjoint(frame)))
     a12 = gen._draw_matrix(rng, n1, n2, fld, 1.0)
-    a11 = gen._hermitize(gen._draw_matrix(rng, n1, n1, fld, 1.0))
+    a11 = linalg._hermitian(gen._draw_matrix(rng, n1, n1, fld, 1.0))
     a = gen._assemble_hermitian(n1, n2, a11, a12, a22)
     diff = gen._psd_with_given_22(rng, n1, n2, fld, 1.0, d22)
-    return a, BlockMatrix(n1, n2, gen._hermitize(a.data + diff.data))
+    return a, BlockMatrix(n1, n2, linalg._hermitian(a.data + diff.data))
 
 
 def test_lifted_seam_pairs_are_consistent():
@@ -507,16 +532,18 @@ def _counting(monkeypatch, names, *modules):
 
 
 def test_monotonicity_trial_factors_each_operand_once(monkeypatch):
-    # one pair per trial: one eigen-split per pivot (2 eigh), which gives
-    # both transforms' pivot pseudoinverses, pinv of the pivot difference
-    # (1 SVD), and one eigvalsh per order test, with D22 - C22 decided once
-    # for the pinv criterion and the grid oracle; five public calls ran 5,
-    # 4 and 9, and one pair with an SVD per gppt 3, 2 and 7
+    # one pair per trial: one eigen-split per pivot and one of the pivot
+    # difference (3 eigh), which give both transforms' pivot pseudoinverses
+    # and dp^+, and one eigvalsh per order test, with D22 - C22 decided once
+    # for the pinv criterion and the grid oracle, and the rank path's
+    # singularity read off the splits; five public calls ran 5, 4 and 9
+    # SVD/eigh/eigvalsh, one pair with an SVD per gppt 3, 2 and 7, and one
+    # with an SVD pinv of dp and its own zero tests in the rank path 1, 2 and 7
     counts = _counting(monkeypatch, ("svd", "eigh", "eigvalsh"), np.linalg)
     _monotonicity_trial(12345, DEFAULT_TOL)
-    assert counts["svd"] <= 1
-    assert counts["eigh"] <= 2
-    assert counts["eigvalsh"] <= 7
+    assert counts["svd"] == 0
+    assert counts["eigh"] <= 3
+    assert counts["eigvalsh"] <= 5
 
 
 def test_report_checks_each_matrix_once(monkeypatch):
@@ -543,6 +570,43 @@ def _seeded_pairs(seed: int):
             fld = ("real", "complex")[k % 2]
             a, b = rand_ordered_pair(GenSpec(n1, n2, fld, rng.next_uint64()), mode)
             yield (mode, k, n1, n2, fld), a, b
+
+
+_ORDER_PAIR_FUNCTIONS = (
+    (ppt_monotonicity_report, True),
+    (ppt_order_conditions, True),
+    (schur_difference_identity, True),
+    (pinv_monotone, False),
+    (rank_path_constant, False),
+    (rank_path_sampled, False),
+    (det_sign_path_check, False),
+    (spectral_path_check, False),
+)
+
+
+def test_order_pair_functions_run_no_svd(monkeypatch):
+    # every pseudoinverse, rank and singularity verdict of the order pair
+    # comes from an eigen-split
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an order-pair function ran an SVD")
+
+    # the report, the order conditions and the difference identity ran 2, 3
+    # and 5 SVDs when each gppt ran its own, and the latter two 1 and 3 with
+    # an SVD pinv of each pivot difference
+    pairs = list(_seeded_pairs(90909))  # the generator runs SVDs
+    crossing = rand_ordered_pair(CROSSING_PAIRS[0], "generic")
+    assert not ppt_monotonicity_report(*crossing).rank_path.constant
+    pairs.append(("crossing", *crossing))
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for where, a, b in pairs:
+        for fn, blocks in _ORDER_PAIR_FUNCTIONS:
+            args = (a, b) if blocks else (a.a22, b.a22)
+            try:
+                fn(*args)
+            except PreconditionError:
+                # the difference identity needs equal pivot kernels, the
+                # spectral test an invertible D
+                assert fn in (schur_difference_identity, spectral_path_check), (fn.__name__, where)
 
 
 def test_pair_transforms_match_gppt():
