@@ -10,10 +10,11 @@ verdict rather than a bare boolean, so failures are inspectable.
 
 Every gap is evaluated on a concavity segment: the pair is checked once
 when the segment is built, and each gap kind is evaluated for a whole
-vector of t at once.  The endpoints and the mixed matrices of all the t
-values form one stack, transformed with one stacked SVD that also gives
-the endpoints' kernels, and one stacked ``eigvalsh`` decides every gap of
-that kind.  The public functions are the one-t case; the concavity suite
+vector of t at once.  A plain pair is the block pair whose pivot is the
+whole matrix.  The endpoints and mixes of all the t values form one stack;
+one stacked ``gppt``, whose SVD also gives the endpoints' pivot kernels,
+serves every gap kind, and one stacked ``eigvalsh`` decides every gap of a
+kind.  The public functions are the one-t case; the concavity suite
 builds one segment per pair and evaluates each gap kind once.
 """
 
@@ -28,7 +29,6 @@ from .errors import InvalidInputError, PreconditionError
 from .linalg import (
     SubspaceBasis,
     _hermitian,
-    _pinv_stack,
     _psd_verdict,
     adjoint,
     check_hermitian_pair,
@@ -61,10 +61,12 @@ def _check_t(t: float) -> float:
 
 
 def _check_psd(c: np.ndarray, d: np.ndarray, tol: ToleranceConfig) -> None:
-    """Require the validated Hermitian arrays C and D to be PSD."""
+    """Require the validated Hermitian arrays C and D to be PSD; a failure is
+    certified by its smallest eigenvalue."""
     for name, m in (("first", c), ("second", d)):
-        if not _psd_verdict(np.linalg.eigvalsh(_hermitian(m)), tol):
-            raise PreconditionError(f"the {name} matrix must be positive semidefinite")
+        w = np.linalg.eigvalsh(_hermitian(m))
+        if not _psd_verdict(w, tol):
+            raise PreconditionError(f"the {name} matrix must be positive semidefinite", float(w[0]))
 
 
 def _weights(ts) -> np.ndarray:
@@ -86,68 +88,62 @@ def _psd_verdicts(gaps: np.ndarray, tol: ToleranceConfig) -> list[GapResult]:
 
 
 class _ConcavitySegment:
-    """The segment (1-t)X + tY of a Hermitian PSD pair.
+    """The segment (1-t)X + tY of a Hermitian PSD pair with split n1.
 
-    Build it with ``of_blocks`` (block pair: jppt and Schur gaps) or
-    ``of_matrices`` (plain pair: pinv gap, and ``bordered`` for the
-    embedded pair); each checks that the pair is Hermitian and PSD, and
-    ``pivots`` gives the plain segment of a block segment's pivot blocks.
-    A gap method takes a sequence of t, checks every t first, then
-    transforms the stack [X, Y, mix(t_1), ...] with the stacked form of
-    ``gppt`` or ``pinv`` (one SVD), requires equal pivot kernels off its
-    rows 0 and 1, and returns one GapResult per t, equal to the public
-    one-t function's.  The jppt and Schur gaps of one vector of t share one
-    gppt stack: the Schur gaps are its (1,1) blocks, and the jppt gaps are
-    J times it.  ``what`` names the pair in the kernel error.
+    ``of_blocks`` keeps a block pair's arrays and n1, ``of_matrices`` a
+    plain pair with n1 = 0; each checks that the pair is Hermitian and PSD.
+    A gap method takes a sequence of t, checks every t first, then reads
+    the gppt stack of [X, Y, mix(t_1), ...] (one SVD of the pivot blocks,
+    which requires equal pivot kernels off its rows 0 and 1), and returns
+    one GapResult per t, equal to the public one-t function's.  Every gap
+    kind reads the one stack: the jppt gaps are J times it, the Schur gaps
+    its (1,1) blocks and the pseudoinverse gaps its (2,2) blocks, the
+    pivots' pseudoinverses.  ``what`` names the pair in the kernel error.
     """
 
-    def __init__(self, x, y, what: str, tol: ToleranceConfig):
+    def __init__(self, x: np.ndarray, y: np.ndarray, n1: int, what: str, tol: ToleranceConfig):
         self._x = x
         self._y = y
+        self._n1 = n1
         self._what = what
         self._tol = tol
-        self._gppt = (None, None)  # (weights, gppt stack) of the last block gaps
+        self._gppt = (None, None)  # (weights, gppt stack) of the last gaps
 
     @classmethod
     def of_blocks(cls, a: BlockMatrix, b: BlockMatrix, tol: ToleranceConfig) -> "_ConcavitySegment":
         check_hermitian_block_pair(a, b, tol)
         _check_psd(a.data, b.data, tol)
-        return cls(a, b, "pivot blocks", tol)
+        return cls(a.data, b.data, a.n1, "pivot blocks", tol)
 
     @classmethod
-    def of_matrices(cls, c, d, tol: ToleranceConfig, what="the matrices") -> "_ConcavitySegment":
+    def of_matrices(cls, c, d, tol: ToleranceConfig) -> "_ConcavitySegment":
         ca, da = check_hermitian_pair(c, d, tol)
         _check_psd(ca, da, tol)
-        return cls(ca, da, what, tol)
-
-    def pivots(self) -> "_ConcavitySegment":
-        """The plain segment of a block segment's pivot blocks, checked as
-        ``of_matrices`` checks."""
-        return _ConcavitySegment.of_matrices(self._x.a22, self._y.a22, self._tol, self._what)
+        return cls(ca, da, 0, "the matrices", tol)
 
     def bordered(self) -> "_ConcavitySegment":
-        """The block segment of the bordered embedding of a plain pair.
-
-        Bordering by zeros keeps a checked pair Hermitian and PSD, and its
-        pivot blocks are the pair itself.
-        """
-        return _ConcavitySegment(*bordered_embedding(self._x, self._y), self._what, self._tol)
+        """The segment of the bordered embedding of the Hermitian parts of
+        this segment's pivot blocks, unchecked: they are principal blocks of
+        a checked PSD pair, and bordering by zeros keeps them PSD."""
+        n1 = self._n1
+        ec, ed = bordered_embedding(*(_hermitian(m[n1:, n1:]) for m in (self._x, self._y)))
+        return _ConcavitySegment(ec.data, ed.data, 1, self._what, self._tol)
 
     def _require_equal_kernels(self, vh: np.ndarray, ranks: np.ndarray) -> None:
-        """Equal kernels of the stack's first two matrices, X and Y (or their
-        pivot blocks), read off the stacked SVD's ``vh`` and ranks."""
+        """Equal kernels of the pivot blocks of the stack's first two
+        matrices, X and Y, read off the stacked SVD's ``vh`` and ranks."""
         kx, ky = (SubspaceBasis(vh.shape[-1], adjoint(vh[i, ranks[i]:])) for i in (0, 1))
         if not subspace_eq(kx, ky, self._tol):
             raise PreconditionError(f"{self._what} must have equal kernels")
 
     def _transformed(self, w: np.ndarray) -> np.ndarray:
-        """gppt of the block stack [X, Y, mixes], kept for the next call with
-        the same weights."""
+        """gppt of the stack [X, Y, mixes], kept for the next call with the
+        same weights."""
         kept_w, kept = self._gppt
         if kept_w is None or not np.array_equal(kept_w, w):
-            x, y = self._x.data, self._y.data
+            x, y = self._x, self._y
             stack = np.concatenate([x[None], y[None], (1.0 - w) * x + w * y])
-            kept = _gppt_stack(stack, self._x.n1, self._tol, self._require_equal_kernels)
+            kept = _gppt_stack(stack, self._n1, self._tol, self._require_equal_kernels)
             self._gppt = (w, kept)
         return kept
 
@@ -158,20 +154,18 @@ class _ConcavitySegment:
 
     def jppt_gaps(self, ts) -> list[GapResult]:
         w = _weights(ts)
-        j = signature_matrix(self._x.n1, self._x.n2)
+        j = signature_matrix(self._n1, self._x.shape[0] - self._n1)
         return self._block_gaps(w, j @ self._transformed(w))
 
     def schur_gaps(self, ts) -> list[GapResult]:
         w = _weights(ts)
-        n1 = self._x.n1
+        n1 = self._n1
         return self._block_gaps(w, self._transformed(w)[:, :n1, :n1])
 
     def pinv_gaps(self, ts) -> list[GapResult]:
         w = _weights(ts)
-        x, y = self._x, self._y
-        mixes = _hermitian((1.0 - w) * x + w * y)
-        stack = np.concatenate([x[None], y[None], mixes])
-        p = _pinv_stack(stack, self._tol, self._require_equal_kernels)
+        n1 = self._n1
+        p = self._transformed(w)[:, n1:, n1:]
         return _psd_verdicts(((1.0 - w) * p[0] + w * p[1]) - p[2:], self._tol)
 
 

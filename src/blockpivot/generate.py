@@ -1,9 +1,13 @@
 """Seeded generators for every hypothesis class the checkers need.
 
 Outputs are deterministic functions of a GenSpec: same spec, bitwise
-identical matrices, on every platform (no LAPACK calls are involved in
-generation; orthonormal frames come from re-orthogonalized Gram-Schmidt
-over the portable PRNG stream).
+identical matrices.  Orthonormal frames come from re-orthogonalized
+Gram-Schmidt over the portable PRNG stream, with no LAPACK call, but two
+draws call LAPACK's SVD: ``_psd_with_given_22`` (kernel_break pairs and
+``rand_psd_pair_same_kernel``) through ``pinv``, and the constant_rank
+mode through ``_spectral_norm``.  Bitwise identity therefore rests on the
+same numpy, BLAS and LAPACK builds giving the same bits, which holds for
+a given installation but not across platforms in general.
 
 Draw discipline (normative, see also blockpivot.rng): matrices are
 filled row-major; complex entries consume two consecutive uniform draws

@@ -208,9 +208,8 @@ def _concavity_trial(seed: int, tol: ToleranceConfig) -> list[str]:
     ts = [i / 10.0 for i in range(11)] + list(rng.uniform(3, 0.0, 1.0))
     # each pair is checked once, and each gap kind is evaluated at all t at once
     segment = cvx._ConcavitySegment.of_blocks(a, b, tol)
-    pivots = segment.pivots()
-    bordered = pivots.bordered()
-    gaps = (segment.jppt_gaps(ts), segment.schur_gaps(ts), pivots.pinv_gaps(ts), bordered.jppt_gaps(ts))
+    bordered = segment.bordered()
+    gaps = (segment.jppt_gaps(ts), segment.schur_gaps(ts), segment.pinv_gaps(ts), bordered.jppt_gaps(ts))
     bad = []
     for t, big, small, pgap, egap in zip(ts, *gaps):
         if not big.psd:

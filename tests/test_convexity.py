@@ -108,8 +108,14 @@ def test_precondition_rejections():
     d = np.diag([1.0, 1.0])
     with pytest.raises(PreconditionError):
         pinv_convexity_gap(c, d, 0.5)  # kernels differ
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as info:
         pinv_convexity_gap(-np.eye(2), np.eye(2), 0.5)  # not PSD
+    # the certificate is the failing matrix's smallest eigenvalue
+    assert info.value.certificate == -1.0
+    assert info.value.certificate < -DEFAULT_TOL.psd_tol
+    with pytest.raises(PreconditionError, match="^the second matrix") as info:
+        jppt_concavity_gap(BlockMatrix(1, 1, np.eye(2)), BlockMatrix(1, 1, np.diag([1.0, -2.0])), 0.5)
+    assert info.value.certificate == -2.0
     with pytest.raises(InvalidInputError):
         pinv_convexity_gap(np.eye(2), np.eye(2), 1.5)  # t outside [0, 1]
     a = BlockMatrix(1, 1, np.diag([1.0, 0.0]))
@@ -127,7 +133,8 @@ def test_precondition_rejections():
 
 def test_segment_gaps_equal_public_gaps():
     # the suite's once-checked segments, each gap kind over a whole vector of
-    # t, and the one-t public functions give the same bits and verdicts
+    # t, and the one-t public functions give the same bits and verdicts; a
+    # block segment's pseudoinverse gaps are its pivots' own
     rng = Xoshiro256pp(778)
     for k in range(12):
         fld = ("real", "complex")[k % 2]
@@ -141,16 +148,22 @@ def test_segment_gaps_equal_public_gaps():
         stacked = (
             segment.jppt_gaps(ts),
             segment.schur_gaps(ts),
+            segment.pinv_gaps(ts),
+            segment.bordered().jppt_gaps(ts),
             pivots.pinv_gaps(ts),
             pivots.bordered().jppt_gaps(ts),
         )
         assert all(len(gaps) == len(ts) for gaps in stacked)
         for t, *seg_gaps in zip(ts, *stacked):
+            pinv_gap = pinv_convexity_gap(a.a22, b.a22, t)
+            bordered_gap = jppt_concavity_gap(ea, eb, t)
             public_gaps = (
                 jppt_concavity_gap(a, b, t),
                 schur_concavity_gap(a, b, t),
-                pinv_convexity_gap(a.a22, b.a22, t),
-                jppt_concavity_gap(ea, eb, t),
+                pinv_gap,
+                bordered_gap,
+                pinv_gap,
+                bordered_gap,
             )
             for seg_gap, public_gap in zip(seg_gaps, public_gaps):
                 assert seg_gap.gap.dtype == public_gap.gap.dtype
@@ -193,7 +206,7 @@ def test_kernel_mismatch_raises_before_any_gap(c, d):
         (lambda: _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL).jppt_gaps(ts), blocks),
         (lambda: _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL).schur_gaps(ts), blocks),
         (lambda: _ConcavitySegment.of_matrices(c, d, DEFAULT_TOL).pinv_gaps(ts), plain),
-        (lambda: _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL).pivots().pinv_gaps(ts), blocks),
+        (lambda: _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL).pinv_gaps(ts), blocks),
         (lambda: _ConcavitySegment.of_matrices(c, d, DEFAULT_TOL).bordered().jppt_gaps(ts), plain),
     )
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -218,7 +231,13 @@ def test_segment_checks_every_t_before_factoring(monkeypatch):
         for pos in (0, 3, 6):
             ts = [0.25] * 7
             ts[pos] = bad
-            for gaps in (segment.jppt_gaps, segment.schur_gaps, pivots.pinv_gaps, bordered.jppt_gaps):
+            for gaps in (
+                segment.jppt_gaps,
+                segment.schur_gaps,
+                segment.pinv_gaps,
+                pivots.pinv_gaps,
+                bordered.jppt_gaps,
+            ):
                 with pytest.raises(InvalidInputError):
                     gaps(ts)
 
@@ -235,6 +254,7 @@ def test_non_finite_gaps_are_rejected():
             lambda: pivots.pinv_gaps([0.25, 0.5]),
             lambda: jppt_concavity_gap(a, a, 0.5),
             lambda: segment.jppt_gaps([0.25, 0.5]),
+            lambda: segment.pinv_gaps([0.25, 0.5]),
         ):
             with pytest.raises(InvalidInputError, match="^matrix contains non-finite entries$"):
                 gaps()
@@ -258,16 +278,17 @@ def test_gaps_decompose_each_pair_once(monkeypatch):
         return counts["svd"], counts["eigvalsh"]
 
     # per trial: the generator (2 SVDs), the block pair's PSD checks (2
-    # eigvalsh), the pivots' PSD checks (2 eigvalsh), one stacked gppt shared
-    # by the jppt and Schur gaps, one stacked SVD each for the pinv and
-    # bordered gaps, and one stacked eigvalsh per gap kind over the endpoints
-    # and all 14 values of t.  Each stacked SVD also gives its endpoints'
-    # kernels.  Comparing the kernels with two SVDs of their own ran 7 SVDs;
+    # eigvalsh), one stacked gppt shared by the jppt, Schur and pinv gaps,
+    # one stacked gppt for the bordered gaps, and one stacked eigvalsh per
+    # gap kind over the endpoints and all 14 values of t.  Each stacked SVD
+    # also gives its endpoints' kernels.  A pivots segment of its own, with
+    # its own PSD checks and pinv stack, ran 5 SVDs and 8 eigvalsh;
+    # comparing the kernels with two SVDs of their own ran 7 SVDs;
     # transforming the block stack once per gap kind as well ran 10; per-t
     # segment calls ran 72 SVDs and 62 eigvalsh, and per-t public gap calls
     # 282 and 168.
     svds, eigs = run(_concavity_trial, 12345, DEFAULT_TOL)
-    assert svds <= 5 and eigs <= 8
+    assert svds <= 4 and eigs <= 6
     # a one-shot call transforms a stack of three matrices (1 SVD) and reads
     # the pair's kernels off it; it ran 3 SVDs with a kernel check of its
     # own, and 5 before the stacked segment

@@ -19,6 +19,7 @@ from blockpivot import (
     inertia,
     is_psd,
     jppt,
+    jppt_concavity_gap,
     jppt_im_congruence,
     kernel_basis,
     loewner_leq,
@@ -44,6 +45,7 @@ from blockpivot import (
 )
 from blockpivot import blockmat, linalg
 from blockpivot import generate as gen
+from blockpivot.convexity import _ConcavitySegment
 from blockpivot.monotone import _OrderPair
 from blockpivot.rng import Xoshiro256pp
 from blockpivot.suites import _ep_congruence_trial, _monotonicity_trial, _saddle_trial
@@ -156,6 +158,12 @@ def test_block_pair_order_functions_share_one_validity_policy():
     conditions = ppt_order_conditions(a, b)
     assert not report.hypothesis_ok
     assert conditions.pinv_leq == report.pinv_reversed
+    # so does the concavity segment: its pseudoinverse and bordered gaps
+    # read the pivots of the checked pair, with no check of their own
+    segment = _ConcavitySegment.of_blocks(a, b, DEFAULT_TOL)
+    ts = [0.25, 0.5]
+    for gaps in (segment.pinv_gaps(ts), segment.bordered().jppt_gaps(ts), [jppt_concavity_gap(a, b, 0.5)]):
+        assert all(isinstance(gap.psd, bool) for gap in gaps)
 
 
 def test_report_without_order_hypothesis():
