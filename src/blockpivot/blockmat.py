@@ -3,6 +3,12 @@
 A BlockMatrix is an (n1+n2) x (n1+n2) matrix together with its declared
 2x2 block partition.  The partition is metadata carried on the value,
 never inferred; re-partitioning creates a new value.
+
+The private ``_owned`` and ``_owned_blocks`` wrap arrays the package has
+just allocated (float64 or complex128, of the partition's shape, held by no
+caller) without the public constructors' validation and copy: they check
+only finiteness, so an overflow still raises ``InvalidInputError``, and
+lock the array in place.
 """
 
 from __future__ import annotations
@@ -75,14 +81,27 @@ class BlockMatrix:
         for name, (tile, shape) in tiles.items():
             if tile.shape != shape:
                 raise InvalidInputError(f"{name} has shape {tile.shape}, expected {shape}")
-        dtype = np.result_type(*(tile.dtype for tile, _ in tiles.values()))
-        n = n1 + n2
-        data = np.zeros((n, n), dtype=dtype)
-        data[:n1, :n1] = tiles["a11"][0]
-        data[:n1, n1:] = tiles["a12"][0]
-        data[n1:, :n1] = tiles["a21"][0]
-        data[n1:, n1:] = tiles["a22"][0]
-        return cls(n1, n2, data)
+        return cls(n1, n2, _assemble(n1, n2, *(tile for tile, _ in tiles.values())))
+
+    @classmethod
+    def _owned(cls, n1: int, n2: int, data: np.ndarray) -> "BlockMatrix":
+        """The value around ``data``, a float64 or complex128 array of shape
+        (n1+n2, n1+n2) that no caller holds: checked finite, then locked in
+        place, with no copy."""
+        if not np.isfinite(data).all():
+            raise InvalidInputError("data contains non-finite entries")
+        data.setflags(write=False)
+        self = object.__new__(cls)
+        object.__setattr__(self, "n1", int(n1))
+        object.__setattr__(self, "n2", int(n2))
+        object.__setattr__(self, "data", data)
+        return self
+
+    @classmethod
+    def _owned_blocks(cls, n1: int, n2: int, a11, a12, a21, a22) -> "BlockMatrix":
+        """``from_blocks`` of float64 or complex128 tiles of the right shapes,
+        through ``_owned``."""
+        return cls._owned(n1, n2, _assemble(n1, n2, a11, a12, a21, a22))
 
     def repartition(self, n1: int, n2: int) -> "BlockMatrix":
         """A new value with the same entries and a different partition."""
@@ -109,6 +128,17 @@ class BlockMatrix:
 
     def __hash__(self):
         return hash((self.n1, self.n2, self.data.tobytes()))
+
+
+def _assemble(n1: int, n2: int, a11, a12, a21, a22) -> np.ndarray:
+    """A new (n1+n2)-square array of the four tiles, in their common dtype."""
+    n = n1 + n2
+    data = np.empty((n, n), dtype=np.result_type(a11, a12, a21, a22))
+    data[:n1, :n1] = a11
+    data[:n1, n1:] = a12
+    data[n1:, :n1] = a21
+    data[n1:, n1:] = a22
+    return data
 
 
 def check_hermitian_block_pair(

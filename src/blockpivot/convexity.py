@@ -122,12 +122,13 @@ class _ConcavitySegment:
         return cls(ca, da, 0, "the matrices", tol)
 
     def bordered(self) -> "_ConcavitySegment":
-        """The segment of the bordered embedding of the Hermitian parts of
-        this segment's pivot blocks, unchecked: they are principal blocks of
-        a checked PSD pair, and bordering by zeros keeps them PSD."""
+        """The segment of the bordered embedding of this segment's pivot
+        blocks, unchecked: they are principal blocks of a checked PSD pair,
+        and bordering by zeros keeps them PSD.  Its gaps and
+        ``pinv_gaps`` factor the same pivots."""
         n1 = self._n1
-        ec, ed = bordered_embedding(*(_hermitian(m[n1:, n1:]) for m in (self._x, self._y)))
-        return _ConcavitySegment(ec.data, ed.data, 1, self._what, self._tol)
+        x, y = _bordered(self._x[n1:, n1:], self._y[n1:, n1:])
+        return _ConcavitySegment(x, y, 1, self._what, self._tol)
 
     def _require_equal_kernels(self, vh: np.ndarray, ranks: np.ndarray) -> None:
         """Equal kernels of the pivot blocks of the stack's first two
@@ -187,6 +188,16 @@ def schur_concavity_gap(
     return _ConcavitySegment.of_blocks(a, b, tol).schur_gaps([t])[0]
 
 
+def _bordered(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """New arrays of C and D, square of equal size, each bordered by one
+    leading zero row and column, in their common dtype."""
+    m = c.shape[0]
+    ec, ed = (np.zeros((m + 1, m + 1), dtype=np.result_type(c, d)) for _ in range(2))
+    ec[1:, 1:] = c
+    ed[1:, 1:] = d
+    return ec, ed
+
+
 def bordered_embedding(c, d) -> tuple[BlockMatrix, BlockMatrix]:
     """Embed square matrices as pivot blocks bordered by one zero row/column.
 
@@ -195,13 +206,9 @@ def bordered_embedding(c, d) -> tuple[BlockMatrix, BlockMatrix]:
     and D in the (negated) pivot position.
     """
     ca, da = check_square_pair(c, d)
+    ec, ed = _bordered(ca, da)
     m = ca.shape[0]
-    dtype = np.result_type(ca, da)
-    top = np.zeros((m + 1, m + 1), dtype=dtype)
-    bot = np.zeros((m + 1, m + 1), dtype=dtype)
-    top[1:, 1:] = ca
-    bot[1:, 1:] = da
-    return BlockMatrix(1, m, top), BlockMatrix(1, m, bot)
+    return BlockMatrix._owned(1, m, ec), BlockMatrix._owned(1, m, ed)
 
 
 def pinv_convexity_gap(c, d, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> GapResult:

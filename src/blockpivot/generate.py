@@ -4,15 +4,21 @@ Outputs are deterministic functions of a GenSpec: same spec, bitwise
 identical matrices.  Orthonormal frames come from re-orthogonalized
 Gram-Schmidt over the portable PRNG stream, with no LAPACK call, but two
 draws call LAPACK's SVD: ``_psd_with_given_22`` (kernel_break pairs and
-``rand_psd_pair_same_kernel``) through ``pinv``, and the constant_rank
-mode through ``_spectral_norm``.  Bitwise identity therefore rests on the
-same numpy, BLAS and LAPACK builds giving the same bits, which holds for
-a given installation but not across platforms in general.
+``rand_psd_pair_same_kernel``) for the pseudoinverse of its (2,2) block,
+and the constant_rank mode through ``_spectral_norm``.  Bitwise identity
+therefore rests on the same numpy, BLAS and LAPACK builds giving the same
+bits, which holds for a given installation but not across platforms in
+general.
 
 Draw discipline (normative, see also blockpivot.rng): matrices are
 filled row-major; complex entries consume two consecutive uniform draws
 (real part, then imaginary part).  Each generator's docstring states the
 order in which it consumes draws.
+
+The generators build every matrix themselves, so they wrap it with
+``BlockMatrix``'s trusted constructors: no re-validation or copy, only the
+finiteness check, under which an overflowing draw (say at magnitude 1e300)
+still raises ``InvalidInputError``.  The fixtures keep their bits.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 
 from .blockmat import BlockMatrix
 from .errors import InvalidInputError
-from .linalg import SubspaceBasis, _hermitian, adjoint, pinv
+from .linalg import SubspaceBasis, _hermitian, _pinv_of_svd, _svd_factor, adjoint
 from .rng import Xoshiro256pp
 from .tolerances import DEFAULT_TOL
 
@@ -80,9 +86,16 @@ def _draw_matrix(rng: Xoshiro256pp, rows: int, cols: int, field: str, magnitude:
     """Row-major uniform fill; complex entries are (re, im) draw pairs."""
     count = rows * cols
     if field == "complex":
-        raw = rng.uniform_sym(2 * count, magnitude)
-        return (raw[0::2] + 1j * raw[1::2]).reshape(rows, cols)
+        return rng.uniform_sym(2 * count, magnitude).view(np.complex128).reshape(rows, cols)
     return rng.uniform_sym(count, magnitude).reshape(rows, cols)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d array, computed as it computes it."""
+    if np.iscomplexobj(v):
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -112,25 +125,28 @@ def _orthonormal_columns(
     if k == 0:
         return np.zeros((ambient, 0), dtype=dtype)
     floor = 1e-6 * magnitude * max(1.0, math.sqrt(ambient))
+    project = avoid is not None and avoid.shape[1]
     cols: list[np.ndarray] = []
     while len(cols) < k:
-        v = _draw_matrix(rng, ambient, 1, field, magnitude)[:, 0]
-        for _ in range(2):
-            if avoid is not None and avoid.shape[1]:
-                v = v - avoid @ (adjoint(avoid) @ v)
-            for u in cols:
-                v = v - u * np.vdot(u, v)
-        nrm = float(np.linalg.norm(v))
-        if nrm < floor:
-            continue
-        cols.append((v / nrm).astype(dtype))
+        # the candidates still needed, in one draw: row i is the stream's
+        # next candidate after row i - 1, as if each were drawn alone
+        for v in _draw_matrix(rng, k - len(cols), ambient, field, magnitude):
+            for _ in range(2):
+                if project:
+                    v = v - avoid @ (adjoint(avoid) @ v)
+                for u in cols:
+                    v = v - u * np.vdot(u, v)
+            nrm = _norm(v)
+            if nrm < floor:
+                continue
+            cols.append((v / nrm).astype(dtype, copy=False))
     return np.column_stack(cols)
 
 
 def _spectral_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def rand_matrix(rows: int, cols: int, field: str, seed: int, magnitude: float = 1.0) -> np.ndarray:
@@ -147,7 +163,7 @@ def rand_hermitian(spec: GenSpec) -> BlockMatrix:
     """A Hermitian matrix: one n x n draw, then exact symmetrization."""
     rng = Xoshiro256pp(spec.seed)
     m = _draw_matrix(rng, spec.n, spec.n, spec.field, spec.magnitude)
-    return BlockMatrix(spec.n1, spec.n2, _hermitian(m))
+    return BlockMatrix._owned(spec.n1, spec.n2, _hermitian(m))
 
 
 def rand_with_invertible_pivot(spec: GenSpec) -> BlockMatrix:
@@ -167,7 +183,7 @@ def rand_with_invertible_pivot(spec: GenSpec) -> BlockMatrix:
     a11 = _draw_matrix(rng, n1, n1, field, mag)
     a12 = _draw_matrix(rng, n1, n2, field, mag)
     a21 = _draw_matrix(rng, n2, n1, field, mag)
-    return BlockMatrix.from_blocks(n1, n2, a11, a12, a21, a22)
+    return BlockMatrix._owned_blocks(n1, n2, a11, a12, a21, a22)
 
 
 def rand_psd_with_kernel(spec: GenSpec, kernel: SubspaceBasis) -> np.ndarray:
@@ -190,7 +206,7 @@ def rand_psd_with_kernel(spec: GenSpec, kernel: SubspaceBasis) -> np.ndarray:
 
 
 def _assemble_hermitian(n1: int, n2: int, a11, a12, a22) -> BlockMatrix:
-    return BlockMatrix.from_blocks(n1, n2, a11, a12, adjoint(a12), a22)
+    return BlockMatrix._owned_blocks(n1, n2, a11, a12, adjoint(a12), a22)
 
 
 def _psd_with_given_22(rng: Xoshiro256pp, n1: int, n2: int, field: str, magnitude: float,
@@ -205,7 +221,7 @@ def _psd_with_given_22(rng: Xoshiro256pp, n1: int, n2: int, field: str, magnitud
     coupling = _draw_matrix(rng, n1, n2, field, magnitude)
     d12 = coupling @ d22
     s = _gram(_draw_matrix(rng, n1 + 1, n1, field, magnitude))
-    d11 = _hermitian(s + d12 @ pinv(d22, DEFAULT_TOL) @ adjoint(d12))
+    d11 = _hermitian(s + d12 @ _pinv_of_svd(*_svd_factor(d22, DEFAULT_TOL)) @ adjoint(d12))
     return _assemble_hermitian(n1, n2, d11, d12, d22)
 
 
@@ -239,7 +255,7 @@ def rand_ordered_pair(spec: GenSpec, mode: str) -> tuple[BlockMatrix, BlockMatri
     if mode == "generic":
         a = _hermitian(_draw_matrix(rng, n, n, field, mag))
         bump = _gram(_draw_matrix(rng, n + 1, n, field, mag))
-        return BlockMatrix(n1, n2, a), BlockMatrix(n1, n2, a + bump)
+        return BlockMatrix._owned(n1, n2, a), BlockMatrix._owned(n1, n2, a + bump)
 
     if mode == "constant_rank":
         r22 = rng.randint(n2 + 1) if n2 else 0
@@ -259,7 +275,7 @@ def rand_ordered_pair(spec: GenSpec, mode: str) -> tuple[BlockMatrix, BlockMatri
         bump22 = bump[n1:, n1:]
         norm22 = _spectral_norm(bump22)
         eps = 1.0 if norm22 == 0.0 else 0.5 * gap / norm22
-        b = BlockMatrix(n1, n2, a.data + eps * bump)
+        b = BlockMatrix._owned(n1, n2, a.data + eps * bump)
         return a, b
 
     # kernel_break
@@ -287,7 +303,7 @@ def rand_ordered_pair(spec: GenSpec, mode: str) -> tuple[BlockMatrix, BlockMatri
     a = _assemble_hermitian(n1, n2, a11, a12, a22)
     d22 = _hermitian(b22 - a22)
     diff = _psd_with_given_22(rng, n1, n2, field, mag, d22)
-    b = BlockMatrix(n1, n2, _hermitian(a.data + diff.data))
+    b = BlockMatrix._owned(n1, n2, _hermitian(a.data + diff.data))
     return a, b
 
 
@@ -328,7 +344,7 @@ def rand_psd_pair_same_kernel(
         # value to set the relative rank cutoff's scale
         l2 = np.zeros_like(l2)
     bump = _gram(np.concatenate([l1, l2], axis=1))
-    b = BlockMatrix(n1, n2, _hermitian(a.data + bump))
+    b = BlockMatrix._owned(n1, n2, _hermitian(a.data + bump))
     return a, b
 
 
@@ -354,7 +370,7 @@ def rand_im_psd(spec: GenSpec) -> BlockMatrix:
         h[:, n - k :] = 0.0
         factor[:, n - k :] = 0.0
     g = _gram(factor)
-    return BlockMatrix(n1, n2, h + 1j * g)
+    return BlockMatrix._owned(n1, n2, h + 1j * g)
 
 
 def rand_saddle_instance(spec: GenSpec, hermitian: bool = True) -> BlockMatrix:
@@ -384,7 +400,7 @@ def rand_saddle_instance(spec: GenSpec, hermitian: bool = True) -> BlockMatrix:
         a11 = _draw_matrix(rng, n1, n1, field, mag)
         left = _draw_matrix(rng, n1, n2, field, mag)
         a12 = left @ a22
-    return BlockMatrix.from_blocks(n1, n2, a11, a12, a21, a22)
+    return BlockMatrix._owned_blocks(n1, n2, a11, a12, a21, a22)
 
 
 def rand_saddle_rhs(a: BlockMatrix, seed: int, magnitude: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

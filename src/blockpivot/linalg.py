@@ -73,13 +73,8 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    if np.iscomplexobj(arr):
-        arr = arr.astype(np.complex128, copy=False)
-        finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
-    else:
-        arr = arr.astype(np.float64, copy=False)
-        finite = np.isfinite(arr)
-    if arr.size and not finite.all():
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
+    if not np.isfinite(arr).all():  # a complex entry is finite when both parts are
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
@@ -119,7 +114,7 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 def max_abs(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -264,7 +264,7 @@ class _OrderPair:
         off the pivot's eigen-split, so the transforms and the rank path
         call the same eigenvalues zero and no SVD runs."""
         return tuple(
-            BlockMatrix(x.n1, x.n2, _gppt_formula(x.data, x.n1, _pinv_of_split(supp, w)))
+            BlockMatrix._owned(x.n1, x.n2, _gppt_formula(x.data, x.n1, _pinv_of_split(supp, w)))
             for x, (_, supp, w) in zip((self._a, self._b), self.splits)
         )
 

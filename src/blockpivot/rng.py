@@ -45,7 +45,7 @@ def splitmix64_stream(seed: int, count: int) -> list[int]:
     if count < 0:
         raise InvalidInputError(f"count must be nonnegative, got {count}")
     out = []
-    state = seed
+    state = int(seed)
     for _ in range(count):
         z, state = _splitmix64_step(state)
         out.append(z)
@@ -70,8 +70,7 @@ class Xoshiro256pp:
     """xoshiro256++ stream seeded via splitmix64 state expansion."""
 
     def __init__(self, seed: int):
-        _check_seed(seed)
-        words = splitmix64_stream(int(seed), 4)
+        words = splitmix64_stream(seed, 4)
         if all(w == 0 for w in words):
             words[0] = 1  # the all-zero state is the one fixed point
         self._state = tuple(words)

@@ -156,7 +156,7 @@ class _SaddleInstance:
     def _g(self) -> BlockMatrix:
         """gppt(A), from the kept A22^+."""
         a = self._a
-        return BlockMatrix(a.n1, a.n2, _gppt_formula(a.data, a.n1, self._p))
+        return BlockMatrix._owned(a.n1, a.n2, _gppt_formula(a.data, a.n1, self._p))
 
     @cached_property
     def _kernel(self) -> SubspaceBasis:

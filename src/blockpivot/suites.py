@@ -104,7 +104,7 @@ def _embedding_trial(seed: int, tol: ToleranceConfig) -> list[str]:
         spec = gen.GenSpec(n1, n2, fld, rng.next_uint64())
         a = gen.rand_saddle_instance(spec, hermitian=False)
     else:
-        a = BlockMatrix(n1, n2, gen.rand_matrix(n1 + n2, n1 + n2, fld, rng.next_uint64()))
+        a = BlockMatrix._owned(n1, n2, gen.rand_matrix(n1 + n2, n1 + n2, fld, rng.next_uint64()))
     lhs = jppt(a, tol).data
     rhs = schur_complement(hat_embedding(a, tol), tol)
     resid = max_abs(lhs - rhs)

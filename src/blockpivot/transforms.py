@@ -60,8 +60,11 @@ def _gppt_formula(data: np.ndarray, n1: int, p: np.ndarray) -> np.ndarray:
 
 def _gppt_stack(data: np.ndarray, n1: int, tol: ToleranceConfig, check=None) -> np.ndarray:
     """``gppt(...).data`` of each matrix of a validated ``(k, n, n)`` stack
-    with partition (n1, n - n1), from one ``_pinv_stack`` of the pivot blocks."""
-    return _gppt_formula(data, n1, _pinv_stack(data[:, n1:, n1:], tol, check))
+    with partition (n1, n - n1), from one ``_pinv_stack`` of the pivot blocks.
+    At n1 = 0 that stack is the transform itself (the same bits as the
+    formula's), so no formula runs."""
+    p = _pinv_stack(data[:, n1:, n1:], tol, check)
+    return _gppt_formula(data, n1, p) if n1 else p
 
 
 def gppt(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:
@@ -70,7 +73,7 @@ def gppt(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:
     Blocks: [[A/A22, A12 A22^+], [-A22^+ A21, A22^+]].  Defined for every
     partitioned matrix; an involution when A22 is invertible.
     """
-    return BlockMatrix(a.n1, a.n2, _gppt_formula(a.data, a.n1, pinv(a.a22, tol)))
+    return BlockMatrix._owned(a.n1, a.n2, _gppt_formula(a.data, a.n1, pinv(a.a22, tol)))
 
 
 def jppt(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:
@@ -81,7 +84,7 @@ def jppt(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:
     """
     g = gppt(a, tol)
     j = signature_matrix(a.n1, a.n2)
-    return BlockMatrix(a.n1, a.n2, j @ g.data)
+    return BlockMatrix._owned(a.n1, a.n2, j @ g.data)
 
 
 def hat_embedding(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:
@@ -103,7 +106,7 @@ def hat_embedding(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMa
     bottom = np.zeros((n2, n), dtype=dtype)
     bottom[:, :n1] = a.a21
     bottom[:, n1:] = -a.a22 @ p
-    return BlockMatrix.from_blocks(n, n2, top, right, bottom, a.a22)
+    return BlockMatrix._owned_blocks(n, n2, top, right, bottom, a.a22)
 
 
 def _require_ep_pivot(a: BlockMatrix, tol: ToleranceConfig) -> BlockMatrix:

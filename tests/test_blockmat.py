@@ -1,7 +1,29 @@
 import numpy as np
 import pytest
 
-from blockpivot import BlockMatrix, InvalidInputError
+from blockpivot import (
+    DEFAULT_TOL,
+    BlockMatrix,
+    GenSpec,
+    InvalidInputError,
+    bordered_embedding,
+    gppt,
+    hat_embedding,
+    jppt,
+    rand_ordered_pair,
+)
+from blockpivot.monotone import _OrderPair
+from blockpivot.saddle import _SaddleInstance
+
+
+def assert_owned(x: BlockMatrix, dtype) -> None:
+    """x came through the trusted path: a locked float64 or complex128
+    array, integer partition sizes, and the value the public constructor
+    would give."""
+    assert not x.data.flags.writeable
+    assert x.data.dtype == dtype
+    assert type(x.n1) is int and type(x.n2) is int
+    assert x == BlockMatrix(x.n1, x.n2, x.data)
 
 
 def test_construction_and_views():
@@ -85,3 +107,48 @@ def test_eq_and_hash():
 def test_norm_max():
     bm = BlockMatrix(1, 1, np.array([[1.0, -7.0], [2.0, 3.0]]))
     assert bm.norm_max() == 7.0
+
+
+def test_owned_wraps_the_array_and_locks_it():
+    data = np.arange(9, dtype=float).reshape(3, 3)
+    bm = BlockMatrix._owned(np.int64(2), 1, data)
+    assert bm.data is data  # no copy
+    assert_owned(bm, np.float64)
+    rebuilt = BlockMatrix._owned_blocks(2, 1, bm.a11, bm.a12, bm.a21, 1j * bm.a22)
+    assert_owned(rebuilt, np.complex128)
+    assert rebuilt == BlockMatrix.from_blocks(2, 1, bm.a11, bm.a12, bm.a21, 1j * bm.a22)
+    empty = BlockMatrix._owned_blocks(0, 2, np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.eye(2))
+    assert empty == BlockMatrix(0, 2, np.eye(2))
+
+
+def test_owned_keeps_the_finiteness_check():
+    for bad in (np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 0.0)):
+        data = np.eye(2, dtype=type(bad))
+        data[1, 0] = bad
+        with pytest.raises(InvalidInputError, match="data contains non-finite entries"):
+            BlockMatrix._owned(1, 1, data)
+        with pytest.raises(InvalidInputError, match="data contains non-finite entries"):
+            BlockMatrix._owned_blocks(1, 1, data[:1, :1], data[:1, 1:], data[1:, :1], data[1:, 1:])
+
+
+@pytest.mark.parametrize("fld, dtype", [("real", np.float64), ("complex", np.complex128)])
+def test_transformed_matrices_come_through_the_trusted_path(fld, dtype):
+    a, b = rand_ordered_pair(GenSpec(2, 3, fld, 2718), "kernel_break")
+    for x in (
+        gppt(a),
+        jppt(a),
+        hat_embedding(a),
+        *_OrderPair.of_blocks(a, b, DEFAULT_TOL).transforms,
+        _SaddleInstance(a, DEFAULT_TOL)._g,
+        *bordered_embedding(a.a22, b.a22),
+    ):
+        assert_owned(x, dtype)
+
+
+def test_overflowing_transform_still_raises():
+    # finite input whose transform overflows: A12 A22^+ A21 = 1e300 * 1e300 * 1e300
+    a = BlockMatrix(1, 1, np.array([[1.0, 1e300], [1e300, 1e-300]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for transform in (gppt, jppt):
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                transform(a)

@@ -171,6 +171,20 @@ def test_segment_gaps_equal_public_gaps():
                 assert seg_gap.psd == public_gap.psd
 
 
+def test_bordered_gaps_factor_the_segment_pivots():
+    # a pair Hermitian only at its own scale: the pseudoinverse gaps and the
+    # bordered gaps read the same raw pivot blocks, so they agree within the
+    # concavity trial's absolute 1e-10 (they differed by 6.3e-10 when the
+    # bordered segment embedded the pivots' Hermitian parts)
+    big = np.diag([1e8, 1.0, 1.0])
+    skew = big.copy()
+    skew[2, 1] += 1e-4
+    segment = _ConcavitySegment.of_blocks(BlockMatrix(1, 2, big), BlockMatrix(1, 2, skew), DEFAULT_TOL)
+    ts = [0.25, 0.5]
+    for pgap, egap in zip(segment.pinv_gaps(ts), segment.bordered().jppt_gaps(ts)):
+        assert max_abs(pgap.gap - egap.gap[1:, 1:]) <= 1e-10
+
+
 def _bordered_pair(c, d):
     """The block pairs diag(1, C) and diag(1, D), with partition (1, m)."""
     m = c.shape[0]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blockpivot import (
+    BlockMatrix,
     GenSpec,
     InvalidInputError,
     ORDERED_PAIR_MODES,
@@ -201,3 +202,35 @@ def test_rand_matrix_shapes_and_complex_interleaving():
     raw = Xoshiro256pp(5).uniform_sym(8, 1.0)
     expected = (raw[0::2] + 1j * raw[1::2]).reshape(2, 2)
     assert np.array_equal(z, expected)
+
+
+@pytest.mark.parametrize("fld, dtype", [("real", np.float64), ("complex", np.complex128)])
+def test_generated_matrices_come_through_the_trusted_path(fld, dtype):
+    spec = GenSpec(2, 3, fld, 1618)
+    outs = [rand_hermitian(spec), rand_with_invertible_pivot(spec)]
+    for mode in ORDERED_PAIR_MODES:
+        outs += rand_ordered_pair(spec, mode)
+    for ordered in (False, True):
+        outs += rand_psd_pair_same_kernel(spec, ordered)
+    outs += [rand_saddle_instance(spec, hermitian) for hermitian in (True, False)]
+    if fld == "complex":
+        outs.append(rand_im_psd(spec))
+    for x in outs:
+        # a locked array of the field's dtype, equal to the public constructor's value
+        assert not x.data.flags.writeable
+        assert x.data.dtype == dtype
+        assert x == BlockMatrix(x.n1, x.n2, x.data)
+
+
+@pytest.mark.parametrize("fld", ["real", "complex"])
+def test_overflowing_draws_still_raise(fld):
+    # the trusted path keeps the finiteness check: entries of 1e300 square
+    # to inf in the Gram and coupling products
+    spec = GenSpec(2, 2, fld, 1, magnitude=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mode in ORDERED_PAIR_MODES:
+            with pytest.raises(InvalidInputError, match="data contains non-finite entries"):
+                rand_ordered_pair(spec, mode)
+        for ordered in (False, True):
+            with pytest.raises(InvalidInputError, match="data contains non-finite entries"):
+                rand_psd_pair_same_kernel(spec, ordered)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,11 @@ def test_splitmix_stream_matches_naive_oracle():
     oracle = _naive_splitmix(987654321)
     stream = splitmix64_stream(987654321, 50)
     assert list(stream) == [next(oracle) for _ in range(50)]
+    # a numpy-integer seed is the same seed, mixed in Python integers, not
+    # in uint64 arithmetic that wraps with overflow warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert splitmix64_stream(np.uint64(987654321), 50) == stream
 
 
 def test_derive_seed_indexes_the_stream():
