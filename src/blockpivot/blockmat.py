@@ -29,20 +29,14 @@ class BlockMatrix:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not (isinstance(self.n1, (int, np.integer)) and self.n1 >= 0):
-            raise InvalidInputError(f"n1 must be a nonnegative integer, got {self.n1!r}")
-        if not (isinstance(self.n2, (int, np.integer)) and self.n2 >= 0):
-            raise InvalidInputError(f"n2 must be a nonnegative integer, got {self.n2!r}")
+        _store_sizes(self)
         arr = as_matrix(self.data, "data")
-        n = int(self.n1) + int(self.n2)
-        if arr.shape != (n, n):
+        if arr.shape != (self.n, self.n):
             raise InvalidInputError(
                 f"data shape {arr.shape} does not match partition ({self.n1}, {self.n2})"
             )
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "n1", int(self.n1))
-        object.__setattr__(self, "n2", int(self.n2))
         object.__setattr__(self, "data", arr)
 
     @property
@@ -128,6 +122,16 @@ class BlockMatrix:
 
     def __hash__(self):
         return hash((self.n1, self.n2, self.data.tobytes()))
+
+
+def _store_sizes(value) -> None:
+    """Check ``value.n1`` and ``value.n2`` (fields of a frozen dataclass) are
+    nonnegative integers, numpy's included, and store them as ints."""
+    for name in ("n1", "n2"):
+        size = getattr(value, name)
+        if not (isinstance(size, (int, np.integer)) and size >= 0):
+            raise InvalidInputError(f"{name} must be a nonnegative integer, got {size!r}")
+        object.__setattr__(value, name, int(size))
 
 
 def _assemble(n1: int, n2: int, a11, a12, a21, a22) -> np.ndarray:

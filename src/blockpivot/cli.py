@@ -41,7 +41,8 @@ def _add_tol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--psd-tol", type=float, default=1e-8,
                         help="slack of the semidefinite order (default 1e-8)")
     parser.add_argument("--eq-tol", type=float, default=1e-8,
-                        help="scaled equality tolerance (default 1e-8)")
+                        help="threshold of every equality decision, applied as "
+                             "eq_tol * (1 + largest operand magnitude) (default 1e-8)")
     parser.add_argument("--human", action="store_true",
                         help="aligned text output instead of JSON lines")
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import BlockMatrix
+from .blockmat import BlockMatrix, _store_sizes
 from .errors import InvalidInputError
 from .linalg import SubspaceBasis, _hermitian, _pinv_of_svd, _svd_factor, adjoint
 from .rng import Xoshiro256pp
@@ -62,10 +62,7 @@ class GenSpec:
     magnitude: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.n1, (int, np.integer)) and self.n1 >= 0):
-            raise InvalidInputError(f"n1 must be a nonnegative integer, got {self.n1!r}")
-        if not (isinstance(self.n2, (int, np.integer)) and self.n2 >= 0):
-            raise InvalidInputError(f"n2 must be a nonnegative integer, got {self.n2!r}")
+        _store_sizes(self)
         if self.field not in ("real", "complex"):
             raise InvalidInputError(f"field must be 'real' or 'complex', got {self.field!r}")
         if not (

@@ -299,7 +299,7 @@ def subspace_leq(s1: SubspaceBasis, s2: SubspaceBasis, tol: ToleranceConfig = DE
     if resid.size == 0:
         return True
     col_norms = np.linalg.norm(resid, axis=0)
-    return float(np.max(col_norms)) <= tol.eq_tol
+    return float(np.max(col_norms)) <= tol.scaled_eq_tol()
 
 
 def subspace_eq(s1: SubspaceBasis, s2: SubspaceBasis, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -358,7 +358,7 @@ def is_ep(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     if arr.shape[0] != arr.shape[1]:
         raise InvalidInputError(f"EP test needs a square matrix, got {arr.shape}")
     p = pinv(arr, tol)
-    return max_abs(arr @ p - p @ arr) <= tol.eq_tol
+    return max_abs(arr @ p - p @ arr) <= tol.scaled_eq_tol()
 
 
 def projector_range(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -60,7 +60,13 @@ from .linalg import (
     subspace_eq,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .transforms import _gppt_formula, gppt, signature_matrix
+from .transforms import (
+    _gppt_formula,
+    _inclusion_residuals,
+    _require_inclusions,
+    gppt,
+    signature_matrix,
+)
 
 __all__ = [
     "RankPathReport",
@@ -105,6 +111,13 @@ def _spectra_at(ca: np.ndarray, da: np.ndarray, tol: ToleranceConfig, ts: np.nda
     w = np.linalg.eigvalsh(stack)
     nz = _nonzero(w, tol)
     return w, nz.sum(axis=1), nz
+
+
+def _crossings(lam: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Which eigenvalues lam of D^-1 C make (1-t)C + tD singular at some t in
+    [0, 1], namely t = lam/(lam-1): the real ones (|Im lam| <= scaled_eq_tol
+    of the largest |lam|) with lam <= 0; (1-t)lam + t = 0 needs a real lam."""
+    return (np.abs(lam.imag) <= tol.scaled_eq_tol(lam)) & (lam.real <= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +191,10 @@ class PinvMonotoneResult:
 class SpectralPathResult:
     """Eigenvalues of D^-1 C and the derived no-crossing verdict.
 
-    no_crossing is true when C is nonsingular under the zero test and
-    every eigenvalue has positive real part; equivalently det[(1-t)C + tD]
-    never vanishes on [0, 1].  real_spectrum flags imaginary parts within
-    eq_tol (always the case when C <= D).
+    no_crossing is true when C is nonsingular under the zero test and no
+    eigenvalue is a real lam <= 0 (``_crossings``); equivalently
+    det[(1-t)C + tD] never vanishes on [0, 1].  real_spectrum flags
+    imaginary parts within eq_tol (always the case when C <= D).
     """
 
     no_crossing: bool
@@ -332,7 +345,7 @@ class _OrderPair:
     def order_conditions(self) -> OrderConditions:
         dp, dp_pinv, g, gr, schur_diff = self.difference
         pinv_leq = self.pinv_reversed
-        ker_resid = max_abs(g - g @ dp_pinv @ dp)
+        ker_resid, _ = _inclusion_residuals(g, gr, dp, dp_pinv)
         ker_incl = ker_resid <= self._tol.scaled_eq_tol(g, dp)
         s = hermitian_part(schur_diff - g @ dp_pinv @ gr)
         residual_psd = _loewner_leq(np.zeros_like(s), s, self._tol)
@@ -366,12 +379,13 @@ class _OrderPair:
             return RankPathReport(True, 0, None, "spectral", (0, 0))
         cr = _hermitian(adjoint(supp_d) @ self._c @ supp_d)
         dr = _hermitian(adjoint(supp_d) @ self._d @ supp_d)
-        lam = np.linalg.eigvals(np.linalg.solve(dr, cr)).real
-        if np.all(lam > 0.0):
+        lam = np.linalg.eigvals(np.linalg.solve(dr, cr))
+        crossing = _crossings(lam, self._tol)
+        if not crossing.any():
             return RankPathReport(True, r0, None, "spectral", (r0, r1))
         # (1-t)C + tD = D((1-t)D^-1 C + tI) is singular at t = lam/(lam-1),
         # which decreases in lam, so the largest crossing lam gives the first t
-        top = float(lam[lam <= 0.0].max())
+        top = float(lam.real[crossing].max())
         witness = max(0.0, top / (top - 1.0))
         return RankPathReport(False, None, witness, "spectral", (r0, r1))
 
@@ -434,7 +448,7 @@ def albert_psd_conditions(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) ->
     a22 = a.a22
     psd22 = loewner_leq(np.zeros_like(a22), a22, tol)
     g = gppt(a, tol)
-    resid = max_abs(a.a12 - g.a12 @ a22)
+    resid, _ = _inclusion_residuals(a.a12, a.a21, a22, g.a22)
     ker_incl = resid <= tol.scaled_eq_tol(a.data)
     s = hermitian_part(g.a11)
     psd_schur = loewner_leq(np.zeros_like(s), s, tol)
@@ -456,8 +470,8 @@ def spectral_path_check(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralPat
     Requires D nonsingular under the zero test.  The segment determinant
     det[(1-t)C + tD] vanishes for some t in [0, 1] exactly when D^-1 C has
     an eigenvalue in (-inf, 0].  The singularity of C and D is read off
-    their eigen-splits, as the rank path reads it; the eigenvalues of
-    D^-1 C only need positive real parts.
+    their eigen-splits, as the rank path reads it, and the crossings off
+    the eigenvalues of D^-1 C by the rank path's ``_crossings``.
     """
     pair = _OrderPair.of_pivots(c, d, tol)
     if pair._c.shape[0] == 0:
@@ -466,8 +480,8 @@ def spectral_path_check(c, d, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralPat
     if ker_d.shape[1]:
         raise PreconditionError("D must be invertible for the spectral path test")
     eig = np.linalg.eigvals(np.linalg.solve(pair._d, pair._c))
-    real_spectrum = float(np.max(np.abs(eig.imag))) <= tol.eq_tol
-    no_crossing = bool(ker_c.shape[1] == 0 and np.all(eig.real > 0.0))
+    real_spectrum = float(np.max(np.abs(eig.imag))) <= tol.scaled_eq_tol()
+    no_crossing = bool(ker_c.shape[1] == 0 and not _crossings(eig, tol).any())
     return SpectralPathResult(no_crossing, real_spectrum, tuple(eig.tolist()))
 
 
@@ -492,9 +506,9 @@ def rank_path_constant(
     root of det(Q^H ((1-t)C + tD) Q), Q the support of a sample, which
     holds every drop point.  Route (ii), 'spectral': with a common kernel,
     C and D are compressed onto D's support, where their eigen-splits make
-    both nonsingular, and the rank is constant iff every eigenvalue of
-    D^-1 C has positive real part; a failing segment's witness is its
-    smallest crossing, t = lam/(lam-1) for the largest real part lam <= 0.
+    both nonsingular, and the rank is constant iff no eigenvalue of D^-1 C
+    is a real lam <= 0; a failing segment's witness is its smallest
+    crossing, t = lam/(lam-1) for the largest such lam.
 
     ``require_order=False`` skips the C <= D precondition so the verdict
     can be used diagnostically.
@@ -592,31 +606,16 @@ def schur_difference_identity(
     d22 = hermitian_part(b.a22 - a.a22)
     _, supp, w = _herm_split(d22, tol)
     d22_pinv = _pinv_of_split(supp, w)
-    cert_tol = tol.scaled_eq_tol(a.data, b.data)
     d12 = b.a12 - a.a12
-    resid = max_abs(d12 - d12 @ d22_pinv @ d22)
-    if resid > cert_tol:
-        raise PreconditionError(
-            "kernel of the pivot difference must lie in the kernel of the (1,2) difference",
-            certificate=resid,
-        )
     d21 = b.a21 - a.a21
-    resid = max_abs(d21 - d22 @ d22_pinv @ d21)
-    if resid > cert_tol:
-        raise PreconditionError(
-            "range of the (2,1) difference must lie in the range of the pivot difference",
-            certificate=resid,
-        )
+    _require_inclusions(d12, d21, d22, d22_pinv, tol.scaled_eq_tol(a.data, b.data), "difference")
     lhs = b.a11 - a.a11 - d12 @ d22_pinv @ d21
     dp, dp_pinv, g, gr, schur_diff = pair.difference
     rhs = schur_diff - g @ dp_pinv @ gr
     mid_alt = a.a22 + a.a22 @ d22_pinv @ a.a22
     rhs_alt = schur_diff - g @ mid_alt @ gr
     incl_tol = tol.scaled_eq_tol(g, gr, dp)
-    inclusions_ok = (
-        max_abs(g - g @ dp_pinv @ dp) <= incl_tol
-        and max_abs(gr - dp @ dp_pinv @ gr) <= incl_tol
-    )
+    inclusions_ok = all(r <= incl_tol for r in _inclusion_residuals(g, gr, dp, dp_pinv))
     return SchurDifferenceResult(
         lhs,
         rhs,

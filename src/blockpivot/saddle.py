@@ -34,7 +34,7 @@ from .linalg import (
     max_abs,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .transforms import _gppt_formula, signature_matrix
+from .transforms import _gppt_formula, _require_inclusions, signature_matrix
 
 __all__ = [
     "AffineSet",
@@ -70,8 +70,7 @@ class AffineSet:
         vec = as_vector(v, self.ambient_dim, "candidate")
         delta = vec - self.particular
         resid = delta - self.kernel.projector() @ delta
-        scale = 1.0 + float(np.linalg.norm(self.particular))
-        return float(np.linalg.norm(resid)) <= tol.eq_tol * scale
+        return float(np.linalg.norm(resid)) <= tol.scaled_eq_tol(np.linalg.norm(self.particular))
 
     def point(self, coefficients) -> np.ndarray:
         """particular + kernel @ coefficients."""
@@ -118,7 +117,7 @@ def _split_z(a: BlockMatrix, x1, y2) -> tuple[np.ndarray, np.ndarray]:
 
 def _real_quadratic(m: np.ndarray, v: np.ndarray, tol: ToleranceConfig, what: str) -> float:
     q = complex(np.vdot(v, m @ v))
-    if abs(q.imag) > tol.eq_tol * (1.0 + abs(q)):
+    if abs(q.imag) > tol.scaled_eq_tol(abs(q)):
         raise PreconditionError(f"{what} is not real", certificate=abs(q.imag))
     return q.real
 
@@ -164,19 +163,17 @@ class _SaddleInstance:
         return SubspaceBasis(self._a.n2, adjoint(vh[r:]))
 
     def certify_min(self) -> BlockMatrix:
-        """gppt(A), once the minimization hypotheses are certified."""
+        """gppt(A), once the minimization hypotheses are certified: A
+        Hermitian, A22 PSD and ker A22 <= ker A12 (an InclusionError)."""
         a, tol = self._a, self._tol
         if not self._certified:
             if not a.is_hermitian(tol):
                 raise PreconditionError("the matrix must be Hermitian")
             if not loewner_leq(np.zeros_like(a.a22), a.a22, tol):
                 raise PreconditionError("the pivot block must be positive semidefinite")
-            resid = max_abs(a.a12 - a.a12 @ self._g.a22 @ a.a22)
-            if resid > tol.scaled_eq_tol(a.data):
-                raise PreconditionError(
-                    "kernel of the pivot block must lie in the kernel of the (1,2) block",
-                    certificate=resid,
-                )
+            # the kernel inclusion only (the range one is its adjoint for Hermitian
+            # A): a (2,1) block with no columns makes the range test vacuous
+            _require_inclusions(a.a12, a.a21[:, :0], a.a22, self._g.a22, tol.scaled_eq_tol(a.data))
             self._certified = True
         return self._g
 
@@ -185,16 +182,10 @@ class _SaddleInstance:
         x1v = as_vector(x1, a.n1, "x1")
         x2v = as_vector(x2, a.n2, "x2")
         y2v = as_vector(y2, a.n2, "y2")
-        z = np.concatenate([x1v, x2v])
-        quad = complex(np.vdot(z, a.data @ z))
-        if abs(quad.imag) > tol.eq_tol * (1.0 + abs(quad)):
-            raise PreconditionError(
-                "quadratic form has a non-negligible imaginary part; the matrix must be Hermitian",
-                certificate=abs(quad.imag),
-            )
+        quad = _real_quadratic(a.data, np.concatenate([x1v, x2v]), tol, "the quadratic form")
         proj = a.a22 @ self._p
         coupling = complex(np.vdot(y2v, proj @ x2v))
-        return 0.5 * quad.real - coupling.real
+        return 0.5 * quad - coupling.real
 
     def schur_min(self, x1) -> MinimizationResult:
         g = self.certify_min()
@@ -217,24 +208,11 @@ class _SaddleInstance:
         x1v, y2v = _split_z(a, x1, y2)
         g = self._g
         p = g.a22
-        cert_tol = tol.scaled_eq_tol(a.data)
-        r21 = max_abs(a.a21 - a.a22 @ p @ a.a21)
-        if r21 > cert_tol:
-            raise PreconditionError(
-                "range of the (2,1) block must lie in the range of the pivot block",
-                certificate=r21,
-            )
-        r12 = max_abs(a.a12 - a.a12 @ p @ a.a22)
-        if r12 > cert_tol:
-            raise PreconditionError(
-                "kernel of the pivot block must lie in the kernel of the (1,2) block",
-                certificate=r12,
-            )
+        _require_inclusions(a.a12, a.a21, a.a22, p, tol.scaled_eq_tol(a.data))
         rhs2 = y2v - a.a21 @ x1v
         unreachable = rhs2 - a.a22 @ (p @ rhs2)
-        scale = 1.0 + float(np.linalg.norm(y2v)) + a.norm_max()
         defect = float(np.linalg.norm(unreachable))
-        if defect > tol.eq_tol * scale:
+        if defect > tol.scaled_eq_tol(float(np.linalg.norm(y2v)) + a.norm_max()):
             raise NoSolutionError(
                 "y2 - A21 x1 lies outside the range of the pivot block; no solution exists",
                 certificate=defect,

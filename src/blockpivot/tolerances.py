@@ -10,8 +10,9 @@ Three knobs cover all predicates, each with one meaning:
 * ``psd_tol`` -- absolute slack of the semidefinite order, applied by one
   ``linalg`` function for every order and gap verdict: a difference is PSD
   when its smallest eigenvalue is at least ``-psd_tol``.
-* ``eq_tol`` -- residual threshold for equality of matrices and for
-  inclusion certificates, applied relative to ``1 + max|entry|``.
+* ``eq_tol`` -- threshold of every equality decision (a residual, imaginary
+  part or certificate that should vanish), read only by ``scaled_eq_tol``
+  as ``eq_tol * (1 + the largest magnitude of the operands named)``.
 
 The ``psd_tol`` slack is not scaled with the operands, so an ordering
 verdict can change when a pair is multiplied by a tiny or huge factor;
@@ -40,12 +41,15 @@ class ToleranceConfig:
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise InvalidInputError(f"{name} must be a finite positive number, got {value!r}")
 
-    def scaled_eq_tol(self, *matrices: np.ndarray) -> float:
-        """Equality threshold scaled by the largest entry magnitude involved."""
+    def scaled_eq_tol(self, *magnitudes) -> float:
+        """``eq_tol * (1 + m)``, m the largest magnitude among the given numbers
+        and array entries (0 if none); the only reader of ``eq_tol``."""
         scale = 0.0
-        for m in matrices:
-            if m.size:
-                scale = max(scale, float(np.max(np.abs(m))))
+        for m in magnitudes:
+            if isinstance(m, (int, float)):  # a number: no numpy reduction on the hot path
+                scale = max(scale, float(abs(m)))
+            elif np.size(m):
+                scale = max(scale, float(np.abs(m).max()))
         return self.eq_tol * (1.0 + scale)
 
 

@@ -114,11 +114,35 @@ def _require_ep_pivot(a: BlockMatrix, tol: ToleranceConfig) -> BlockMatrix:
     g = gppt(a, tol)
     p = g.a22
     resid = max_abs(a.a22 @ p - p @ a.a22)
-    if not resid <= tol.eq_tol:  # the is_ep test, which a NaN residual fails
+    if not resid <= tol.scaled_eq_tol():  # the is_ep test, which a NaN residual fails
         raise PreconditionError(
             "the (2,2) block must commute with its pseudoinverse", certificate=resid
         )
     return g
+
+
+def _inclusion_residuals(x12, x21, x22, p) -> tuple[float, float]:
+    """The certificates of ker X22 <= ker X12 and ran X21 <= ran X22, given
+    P = X22^+: (max|X12 - X12 P X22|, max|X21 - X22 P X21|)."""
+    return max_abs(x12 - x12 @ p @ x22), max_abs(x21 - x22 @ p @ x21)
+
+
+def _require_inclusions(x12, x21, x22, p, bound: float, what: str = "block") -> None:
+    """Raise InclusionError for the first inclusion (the kernel's first) whose
+    residual exceeds ``bound``; ``what`` names the blocks' matrix."""
+    r12, r21 = _inclusion_residuals(x12, x21, x22, p)
+    if r12 > bound:
+        raise InclusionError(
+            f"kernel of the (2,2) {what} is not contained in the kernel of the (1,2) {what}",
+            which="ker22_in_ker12",
+            certificate=r12,
+        )
+    if r21 > bound:
+        raise InclusionError(
+            f"range of the (2,1) {what} is not contained in the range of the (2,2) {what}",
+            which="ran21_in_ran22",
+            certificate=r21,
+        )
 
 
 @dataclass(frozen=True)
@@ -211,21 +235,7 @@ def block_diagonalize(a: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Blo
     """
     g = gppt(a, tol)
     p = g.a22
-    cert_tol = tol.scaled_eq_tol(a.data)
-    r12 = max_abs(a.a12 - a.a12 @ p @ a.a22)
-    if r12 > cert_tol:
-        raise InclusionError(
-            "kernel of the (2,2) block is not contained in the kernel of the (1,2) block",
-            which="ker22_in_ker12",
-            certificate=r12,
-        )
-    r21 = max_abs(a.a21 - a.a22 @ p @ a.a21)
-    if r21 > cert_tol:
-        raise InclusionError(
-            "range of the (2,1) block is not contained in the range of the (2,2) block",
-            which="ran21_in_ran22",
-            certificate=r21,
-        )
+    _require_inclusions(a.a12, a.a21, a.a22, p, tol.scaled_eq_tol(a.data))
     x = g.a12.copy()
     y = p @ a.a21
     w = g.a11.copy()

@@ -234,3 +234,36 @@ def test_overflowing_draws_still_raise(fld):
         for ordered in (False, True):
             with pytest.raises(InvalidInputError, match="data contains non-finite entries"):
                 rand_psd_pair_same_kernel(spec, ordered)
+
+
+def _draws(spec):
+    """Every generator's fixtures for one spec, as arrays."""
+    kernel = kernel_basis(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    a = rand_saddle_instance(spec)
+    out = [
+        rand_matrix(spec.n1, spec.n2, spec.field, spec.seed),
+        rand_hermitian(spec).data,
+        rand_with_invertible_pivot(spec).data,
+        rand_psd_with_kernel(spec, kernel),
+        a.data,
+        rand_saddle_instance(spec, hermitian=False).data,
+        *rand_saddle_rhs(a, spec.seed),
+    ]
+    if spec.field == "complex":
+        out.append(rand_im_psd(spec).data)
+    for mode in ORDERED_PAIR_MODES:
+        out += [x.data for x in rand_ordered_pair(spec, mode)]
+    for ordered in (False, True):
+        out += [x.data for x in rand_psd_pair_same_kernel(spec, ordered)]
+    return out
+
+
+@pytest.mark.parametrize("fld", ["real", "complex"])
+def test_numpy_integer_sizes_give_the_same_fixtures(fld):
+    spec = GenSpec(np.int64(2), np.int64(3), fld, 1618)
+    assert type(spec.n1) is int and type(spec.n2) is int
+    plain = _draws(GenSpec(2, 3, fld, 1618))
+    for x, y in zip(_draws(spec), plain, strict=True):
+        assert np.array_equal(x, y)
+    with pytest.raises(InvalidInputError, match="n2 must be a nonnegative integer"):
+        GenSpec(1, np.int64(-1), fld, 1)

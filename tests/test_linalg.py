@@ -231,16 +231,16 @@ def test_psd_verdict_of_one_matrix_and_of_a_stack():
     assert _psd_verdict(np.zeros((3, 0)), DEFAULT_TOL).tolist() == [True] * 3
 
 
-def test_psd_tol_is_read_in_one_function():
-    # one function decides the order slack, so a change of policy has one
-    # place to go; the CLI only turns --psd-tol into a ToleranceConfig and
-    # echoes it back, so it is not scanned
+def _readers(knob):
+    """The functions of the package that read ``tol.<knob>``; the CLI only
+    turns its flags into a ToleranceConfig and echoes it back, so it is not
+    scanned."""
     readers = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
-        if isinstance(node, ast.Attribute) and node.attr == "psd_tol" and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and node.attr == knob and isinstance(node.ctx, ast.Load):
             readers.add(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -248,7 +248,37 @@ def test_psd_tol_is_read_in_one_function():
     for path in sorted(Path(blockpivot.__file__).parent.glob("*.py")):
         if path.name != "cli.py":
             visit(ast.parse(path.read_text()), path.stem)
-    assert readers == {"linalg._psd_verdict"}
+    return readers
+
+
+def test_psd_tol_is_read_in_one_function():
+    # one function decides the order slack, so a change of policy has one
+    # place to go
+    assert _readers("psd_tol") == {"linalg._psd_verdict"}
+
+
+def test_eq_tol_is_read_in_one_function():
+    # one function scales the equality threshold, so a scale-aware policy
+    # has one place to go
+    assert _readers("eq_tol") == {"tolerances.ToleranceConfig.scaled_eq_tol"}
+
+
+def test_scaled_eq_tol_reads_arrays_and_numbers():
+    tol = ToleranceConfig(eq_tol=1e-6)
+    assert tol.scaled_eq_tol() == 1e-6
+    assert tol.scaled_eq_tol(np.zeros((0, 3))) == 1e-6
+    assert tol.scaled_eq_tol(np.array([[1.0, -3.0]]), 2.0) == 1e-6 * 4.0
+    assert tol.scaled_eq_tol(-1.0, np.array([1j])) == 1e-6 * 2.0
+
+
+def test_scaled_eq_tol_gives_numbers_and_arrays_the_same_bits():
+    values = np.random.default_rng(7).standard_normal(200) * 10.0 ** np.arange(-100, 100)
+    for v in values:
+        expected = DEFAULT_TOL.scaled_eq_tol(np.array([v]))
+        for number in (float(v), np.float64(v), -float(v)):
+            got = DEFAULT_TOL.scaled_eq_tol(number)
+            assert got == expected and type(got) is float
+    assert DEFAULT_TOL.scaled_eq_tol(3) == DEFAULT_TOL.scaled_eq_tol(np.array([3]))
 
 
 def test_is_ep():

@@ -6,6 +6,7 @@ from blockpivot import (
     BlockMatrix,
     GenSpec,
     Inertia,
+    InclusionError,
     InvalidInputError,
     ORDERED_PAIR_MODES,
     PreconditionError,
@@ -475,10 +476,24 @@ def _schur_difference_inclusion_breaks():
 
 @pytest.mark.parametrize("which, a, b", _schur_difference_inclusion_breaks())
 def test_schur_difference_inclusion_errors_carry_certificates(which, a, b):
-    with pytest.raises(PreconditionError) as info:
+    with pytest.raises(InclusionError) as info:
         schur_difference_identity(a, b)
     assert which in str(info.value)
+    assert info.value.which == {"(1,2)": "ker22_in_ker12", "(2,1)": "ran21_in_ran22"}[which]
     assert info.value.certificate > DEFAULT_TOL.scaled_eq_tol(a.data, b.data)
+
+
+def test_complex_eigenvalues_are_no_crossings():
+    # D^-1 C has eigenvalues -1 +- 2i, which no t in [0, 1] turns into a
+    # zero of (1-t)C + tD: |det((1-t)C + tD)| >= 0.5 there
+    c = np.array([[-1.0, 2.0], [2.0, 1.0]])
+    d = np.diag([1.0, -1.0])
+    ts = np.linspace(0.0, 1.0, 401)
+    assert min(abs(np.linalg.det((1.0 - t) * c + t * d)) for t in ts) >= 0.5 - 1e-12
+    path = rank_path_constant(c, d, require_order=False)
+    assert (path.constant, path.common_rank, path.method) == (True, 2, "spectral")
+    spectral = spectral_path_check(c, d)
+    assert spectral.no_crossing and not spectral.real_spectrum
 
 
 def test_seam_pair_verdicts_agree():

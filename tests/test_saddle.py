@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from blockpivot import (
+    DEFAULT_TOL,
     BlockMatrix,
     GenSpec,
+    InclusionError,
     InvalidInputError,
     NoSolutionError,
     PreconditionError,
@@ -74,8 +76,14 @@ def test_min_preconditions_reject_bad_instances(pair_2x2, pair_4x4):
     with pytest.raises(PreconditionError):
         schur_min(neg_pivot, [1.0])
     leaky, _ = pair_4x4  # ker A22 leaks out of ker A12
-    with pytest.raises(PreconditionError):
-        ppt_min(leaky, [1.0, 0.0], [0.0, 0.0])
+    for call in (
+        lambda: schur_min(leaky, [1.0, 0.0]),
+        lambda: ppt_min(leaky, [1.0, 0.0], [0.0, 0.0]),
+    ):
+        with pytest.raises(InclusionError) as err:
+            call()
+        assert err.value.which == "ker22_in_ker12"
+        assert err.value.certificate > DEFAULT_TOL.scaled_eq_tol(leaky.data)
 
 
 def test_minimum_beats_random_perturbations():
@@ -142,12 +150,16 @@ def test_solve_no_solution():
 
 
 def test_solve_inclusion_preconditions():
-    bad12 = BlockMatrix(1, 1, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(PreconditionError):
-        solve_saddle(bad12, [1.0], [0.0])
-    bad21 = BlockMatrix(1, 1, np.array([[0.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(PreconditionError):
-        solve_saddle(bad21, [1.0], [0.0])
+    for data, which in (
+        ([[0.0, 1.0], [0.0, 0.0]], "ker22_in_ker12"),
+        ([[0.0, 0.0], [1.0, 0.0]], "ran21_in_ran22"),
+        ([[0.0, 1.0], [2.0, 0.0]], "ker22_in_ker12"),  # both fail: the kernel is read first
+    ):
+        a = BlockMatrix(1, 1, np.array(data))
+        with pytest.raises(InclusionError) as err:
+            solve_saddle(a, [1.0], [0.0])
+        assert err.value.which == which
+        assert err.value.certificate > DEFAULT_TOL.scaled_eq_tol(a.data)
 
 
 def test_solve_input_validation():

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import blockpivot
 from blockpivot import (
     DEFAULT_TOL,
     BlockMatrix,
@@ -225,3 +229,48 @@ def test_block_diagonalize_inclusion_errors():
     with pytest.raises(InclusionError) as err:
         block_diagonalize(bad21)
     assert err.value.which == "ran21_in_ran22"
+    # both fail: the kernel is read first, with its own residual
+    both = BlockMatrix(1, 1, np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(InclusionError) as err:
+        block_diagonalize(both)
+    assert (err.value.which, err.value.certificate) == ("ker22_in_ker12", 1.0)
+
+
+def _inclusion_sites():
+    """Where the package raises InclusionError and where it writes an
+    inclusion residual X - X P Y or X - Y P X."""
+    raises, residuals = set(), set()
+
+    def is_residual(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+            return False
+        right = node.right
+        if not (isinstance(right, ast.BinOp) and isinstance(right.op, ast.MatMult)):
+            return False
+        if not (isinstance(right.left, ast.BinOp) and isinstance(right.left.op, ast.MatMult)):
+            return False
+        x = ast.dump(node.left)
+        return x in (ast.dump(right.left.left), ast.dump(right.right))
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Raise) and "InclusionError" in ast.dump(node):
+            raises.add(where)
+        if is_residual(node):
+            residuals.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(blockpivot.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return raises, residuals
+
+
+def test_inclusions_are_certified_in_one_place():
+    # every routine that needs ker X22 <= ker X12 or ran X21 <= ran X22
+    # reads one certificate, so its bound and its message have one home
+    raises, residuals = _inclusion_sites()
+    assert raises == {"transforms._require_inclusions"}
+    assert residuals == {"transforms._inclusion_residuals"}
+
